@@ -17,11 +17,13 @@ pub struct Cli {
 }
 
 /// Default checkpoint cadence (`--checkpoint-every`): every 20 000
-/// dispatched events. Sized for default-scale worlds (snapshots of a
-/// few MB land every few seconds at single-digit % overhead); snapshot
-/// bytes grow with `num_clients` × `sigma`, so large populations want a
-/// much coarser interval — `BENCH_checkpoint.json` has the measured
-/// curve at 800 clients and a rule of thumb.
+/// dispatched events. Sized for default-scale worlds: at 100 clients a
+/// snapshot is up to ~2 MB and this cadence adds about a third to a
+/// one-second run. Snapshot bytes grow linearly with `num_clients`
+/// through per-host state and quadratically through the TCG
+/// directory's pair matrices, so large populations want a much coarser
+/// interval — `BENCH_checkpoint.json` has the measured curve at 800
+/// clients and a rule of thumb.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 20_000;
 
 /// The `grococa` subcommands.

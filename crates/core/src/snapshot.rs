@@ -18,10 +18,12 @@
 //! the snapshot instant consumes exactly the random draws the original
 //! run consumed, and every later query agrees bit-for-bit.
 //!
-//! Two deliberate omissions: the optional [`Tracer`](crate::trace::Tracer)
+//! Three deliberate omissions: the optional [`Tracer`](crate::trace::Tracer)
 //! is observational (it never feeds back into the run) and restores as
-//! `None`, and the reusable scratch buffers are contentless between
-//! events.
+//! `None`, the reusable scratch buffers are contentless between
+//! events, and each host's two signature bitmaps are derived from its
+//! counters (only the non-zero counters are written; restoring them sets
+//! the bits).
 //!
 //! # Wire format
 //!
@@ -52,8 +54,8 @@ use crate::tcg::MembershipChange;
 /// `b"GCKP"` as a little-endian word.
 const MAGIC: u32 = u32::from_le_bytes(*b"GCKP");
 /// Bumped on any wire-format change; old snapshots are refused, never
-/// misread.
-const VERSION: u32 = 1;
+/// misread. Version 2 stores signature counters sparsely.
+const VERSION: u32 = 2;
 /// Bytes before the body: magic, version, checksum, fingerprint.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
@@ -363,36 +365,82 @@ fn get_membership_list(r: &mut Reader<'_>) -> Result<Vec<MembershipChange>, Snap
     Ok(v)
 }
 
+/// A bloom filter as its geometry, then its bits packed least position
+/// first in ⌈σ/8⌉ bytes: the little-endian bytes of its words, cut to
+/// length (the cut bytes lie past σ, so they are zero).
 fn put_bloom(w: &mut Writer, b: &BloomFilter) {
     w.u32(b.sigma());
     w.u32(b.k());
-    let mut byte = 0u8;
-    let mut filled = 0u8;
-    for bit in b.bits() {
-        byte |= u8::from(bit) << filled;
-        filled += 1;
-        if filled == 8 {
-            w.u8(byte);
-            byte = 0;
-            filled = 0;
-        }
+    let end = w.buf.len() + (b.sigma() as usize).div_ceil(8);
+    for &word in b.words() {
+        w.u64(word);
     }
-    if filled > 0 {
-        w.u8(byte);
-    }
+    w.buf.truncate(end);
 }
 
-fn get_bloom(r: &mut Reader<'_>) -> Result<BloomFilter, SnapshotError> {
-    let sigma = r.u32()?;
-    let k = r.u32()?;
-    let packed = r.take((sigma as usize).div_ceil(8))?;
-    let bits: Vec<bool> = (0..sigma as usize)
-        .map(|i| packed[i / 8] >> (i % 8) & 1 == 1)
-        .collect();
-    if k == 0 || sigma == 0 {
-        return Err(SnapshotError::Malformed("degenerate bloom filter"));
+/// Reads a bloom filter written by [`put_bloom`]. Every signature in a
+/// run has the configured geometry (`sigma`, `k`); any other is refused,
+/// since folding it into a peer vector would panic the resumed run.
+fn get_bloom(r: &mut Reader<'_>, sigma: u32, k: u32) -> Result<BloomFilter, SnapshotError> {
+    if r.u32()? != sigma || r.u32()? != k {
+        return Err(SnapshotError::Malformed("signature geometry"));
     }
-    Ok(BloomFilter::from_bits(sigma, k, &bits))
+    let words = r
+        .take((sigma as usize).div_ceil(8))?
+        .chunks(8)
+        .map(|chunk| {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(le)
+        })
+        .collect();
+    BloomFilter::from_words(sigma, k, words)
+        .ok_or(SnapshotError::Malformed("signature bits past sigma"))
+}
+
+/// A σ-wide counter vector, sparsely: the number of non-zero counters,
+/// then each as (position u32, value), least position first.
+fn put_sparse<T>(w: &mut Writer, nonzero: impl Iterator<Item = (u32, T)>, put: fn(&mut Writer, T)) {
+    let at = w.buf.len();
+    w.u64(0); // count backpatched below
+    let mut count = 0u64;
+    for (pos, value) in nonzero {
+        w.u32(pos);
+        put(w, value);
+        count += 1;
+    }
+    w.buf[at..at + 8].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Reads a counter vector written by [`put_sparse`] for `sigma`
+/// counters, each value `value_len` bytes. Positions must be in range
+/// and strictly increasing and values non-zero: exactly what
+/// [`put_sparse`] writes, so decoding then re-encoding is byte-identical.
+fn get_sparse<'a, T: Copy + Default + PartialEq>(
+    r: &mut Reader<'a>,
+    sigma: u32,
+    value_len: usize,
+    get: fn(&mut Reader<'a>) -> Result<T, SnapshotError>,
+) -> Result<Vec<(u32, T)>, SnapshotError> {
+    let n = r.len(4 + value_len)?;
+    let mut nonzero = Vec::with_capacity(n);
+    let mut next = 0u32; // least position still allowed
+    for _ in 0..n {
+        let pos = r.u32()?;
+        let value = get(r)?;
+        if pos >= sigma {
+            return Err(SnapshotError::Malformed("counter position out of range"));
+        }
+        if pos < next {
+            return Err(SnapshotError::Malformed("counter positions not increasing"));
+        }
+        if value == T::default() {
+            return Err(SnapshotError::Malformed("zero counter stored"));
+        }
+        nonzero.push((pos, value));
+        next = pos + 1;
+    }
+    Ok(nonzero)
 }
 
 fn put_phase(w: &mut Writer, p: Phase) {
@@ -651,7 +699,8 @@ fn put_ev(w: &mut Writer, ev: &Ev) {
     }
 }
 
-fn get_ev(r: &mut Reader<'_>) -> Result<Ev, SnapshotError> {
+/// Reads one event; (`sigma`, `k`) is the run's signature geometry.
+fn get_ev(r: &mut Reader<'_>, sigma: u32, k: u32) -> Result<Ev, SnapshotError> {
     Ok(match r.u8()? {
         0 => Ev::NextRequest { mh: r.usize()? },
         1 => Ev::PeerRequest {
@@ -745,7 +794,7 @@ fn get_ev(r: &mut Reader<'_>) -> Result<Ev, SnapshotError> {
         13 => Ev::SigReply {
             from: r.usize()?,
             to: r.usize()?,
-            sig: Rc::new(get_bloom(r)?),
+            sig: Rc::new(get_bloom(r, sigma, k)?),
         },
         14 => Ev::Reconnect { mh: r.usize()? },
         15 => Ev::ReconnectSync { mh: r.usize()? },
@@ -939,16 +988,8 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
             w.time(e.expires_at);
             w.u32(e.singlet_ttl);
         }
-        let counters = h.counting.counters();
-        w.usize(counters.len());
-        for &c in counters {
-            w.u16(c);
-        }
-        let counters = h.peer_vector.counters();
-        w.usize(counters.len());
-        for &c in counters {
-            w.u32(c);
-        }
+        put_sparse(&mut w, h.counting.nonzero_counters(), Writer::u16);
+        put_sparse(&mut w, h.peer_vector.nonzero_counters(), Writer::u32);
         put_usize_vec(&mut w, h.tcg.iter().copied());
         put_usize_vec(&mut w, h.outstand_sig.iter().copied());
         put_u32_set(&mut w, &h.pending_insert);
@@ -1120,7 +1161,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     for _ in 0..n_entries {
         let at = r.time()?;
         let seq = r.u64()?;
-        entries.push((at, seq, get_ev(&mut r)?));
+        entries.push((at, seq, get_ev(&mut r, sim.cfg.sigma, sim.cfg.bloom_k)?));
     }
     let n_cancelled = r.len(8)?;
     let mut cancelled = Vec::with_capacity(n_cancelled);
@@ -1279,6 +1320,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     if n_hosts != n {
         return Err(SnapshotError::Malformed("host count"));
     }
+    let sigma = sim.cfg.sigma;
     for h in sim.hosts.iter_mut() {
         h.connected = r.bool()?;
         let n_entries = r.len(49)?;
@@ -1297,24 +1339,10 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
             };
             h.cache.restore_entry(key, entry);
         }
-        let len = r.len(2)?;
-        if len != h.counting.counters().len() {
-            return Err(SnapshotError::Malformed("counting filter width"));
-        }
-        let mut counters = Vec::with_capacity(len);
-        for _ in 0..len {
-            counters.push(r.u16()?);
-        }
-        h.counting.restore_counters(&counters);
-        let len = r.len(4)?;
-        if len != h.peer_vector.counters().len() {
-            return Err(SnapshotError::Malformed("peer vector width"));
-        }
-        let mut counters = Vec::with_capacity(len);
-        for _ in 0..len {
-            counters.push(r.u32()?);
-        }
-        h.peer_vector.restore_counters(&counters);
+        h.counting
+            .restore_counters(&get_sparse(&mut r, sigma, 2, Reader::u16)?);
+        h.peer_vector
+            .restore_counters(&get_sparse(&mut r, sigma, 4, Reader::u32)?);
         h.tcg = get_usize_set(&mut r)?;
         h.outstand_sig = get_usize_set(&mut r)?;
         h.pending_insert = get_u32_set(&mut r)?;
@@ -1457,4 +1485,104 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     r.done()?;
 
     Ok(ResumedSimulation { sim, sched })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn body(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer { buf: Vec::new() };
+        write(&mut w);
+        w.buf
+    }
+
+    fn reader(buf: &[u8]) -> Reader<'_> {
+        Reader { buf, pos: 0 }
+    }
+
+    fn sparse_u16(pairs: &[(u32, u16)]) -> Vec<u8> {
+        body(|w| put_sparse(w, pairs.iter().copied(), Writer::u16))
+    }
+
+    #[test]
+    fn bloom_round_trips_word_wise() {
+        for sigma in [1, 7, 63, 64, 65, 130, 10_000] {
+            let mut b = BloomFilter::new(sigma, 2);
+            for key in 0..20 {
+                b.insert(key);
+            }
+            let buf = body(|w| put_bloom(w, &b));
+            assert_eq!(buf.len(), 8 + (sigma as usize).div_ceil(8));
+            let mut r = reader(&buf);
+            assert_eq!(get_bloom(&mut r, sigma, 2), Ok(b));
+            assert_eq!(r.done(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn bloom_of_a_foreign_geometry_is_malformed() {
+        let buf = body(|w| put_bloom(w, &BloomFilter::new(128, 2)));
+        for (sigma, k) in [(256, 2), (64, 2), (128, 3)] {
+            assert_eq!(
+                get_bloom(&mut reader(&buf), sigma, k),
+                Err(SnapshotError::Malformed("signature geometry"))
+            );
+        }
+    }
+
+    #[test]
+    fn bloom_bits_past_sigma_are_malformed() {
+        let mut buf = body(|w| put_bloom(w, &BloomFilter::new(60, 2)));
+        if let Some(last) = buf.last_mut() {
+            *last |= 0x80; // bit 63 of a 60-bit filter
+        }
+        assert_eq!(
+            get_bloom(&mut reader(&buf), 60, 2),
+            Err(SnapshotError::Malformed("signature bits past sigma"))
+        );
+    }
+
+    #[test]
+    fn sparse_counters_round_trip() {
+        let pairs = [(0, 1), (5, 7), (127, u16::MAX)];
+        let buf = sparse_u16(&pairs);
+        assert_eq!(buf.len(), 8 + 3 * 6);
+        let mut r = reader(&buf);
+        assert_eq!(get_sparse(&mut r, 128, 2, Reader::u16), Ok(pairs.to_vec()));
+        assert_eq!(r.done(), Ok(()));
+        let empty = sparse_u16(&[]);
+        assert_eq!(
+            get_sparse(&mut reader(&empty), 128, 2, Reader::u16),
+            Ok(vec![])
+        );
+    }
+
+    #[test]
+    fn structurally_bad_sparse_counters_are_malformed() {
+        let cases: [(&[(u32, u16)], &str); 5] = [
+            (&[(128, 1)], "counter position out of range"),
+            (&[(4, 1), (u32::MAX, 1)], "counter position out of range"),
+            (&[(3, 1), (3, 2)], "counter positions not increasing"),
+            (&[(9, 1), (4, 2)], "counter positions not increasing"),
+            (&[(1, 1), (2, 0)], "zero counter stored"),
+        ];
+        for (pairs, why) in cases {
+            assert_eq!(
+                get_sparse(&mut reader(&sparse_u16(pairs)), 128, 2, Reader::u16),
+                Err(SnapshotError::Malformed(why)),
+                "{pairs:?}"
+            );
+        }
+        let zero_peer = body(|w| put_sparse(w, [(6, 0u32)].into_iter(), Writer::u32));
+        assert_eq!(
+            get_sparse(&mut reader(&zero_peer), 128, 4, Reader::u32),
+            Err(SnapshotError::Malformed("zero counter stored"))
+        );
+        let overlong = body(|w| w.u64(3));
+        assert_eq!(
+            get_sparse(&mut reader(&overlong), 128, 2, Reader::u16),
+            Err(SnapshotError::Malformed("count exceeds body"))
+        );
+    }
 }

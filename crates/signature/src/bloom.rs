@@ -133,6 +133,18 @@ impl BloomFilter {
         self.words[(pos / 64) as usize] |= 1 << (pos % 64);
     }
 
+    /// Clears one bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= sigma`.
+    pub(crate) fn clear_bit(&mut self, pos: u32) {
+        assert!(pos < self.sigma, "bit position out of range");
+        if let Some(w) = self.words.get_mut((pos / 64) as usize) {
+            *w &= !(1 << (pos % 64));
+        }
+    }
+
     /// Superimposes `other` onto this filter (bitwise OR) — how a peer
     /// signature is built from cache signatures.
     ///
@@ -157,13 +169,56 @@ impl BloomFilter {
         (0..self.sigma).map(move |i| self.bit(i))
     }
 
+    /// Iterates over the set positions, least first. Costs one step per
+    /// set bit plus one per 64-bit word, so a sparse signature is walked
+    /// without visiting its σ zeros.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use grococa_signature::BloomFilter;
+    ///
+    /// let mut f = BloomFilter::new(200, 1);
+    /// f.set_bit(3);
+    /// f.set_bit(130);
+    /// assert_eq!(f.ones().collect::<Vec<_>>(), [3, 130]);
+    /// ```
+    pub fn ones(&self) -> impl Iterator<Item = u32> + '_ {
+        Ones {
+            words: self.words.iter().enumerate(),
+            base: 0,
+            word: 0,
+        }
+    }
+
+    /// The backing words: bit `i` is bit `i % 64` of word `i / 64`, and
+    /// every bit at or beyond σ is zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Rebuilds a filter from words read back via [`BloomFilter::words`].
+    /// Returns `None` unless there are exactly ⌈σ/64⌉ words with no bit
+    /// set at or beyond σ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigma` or `k` is zero.
+    pub fn from_words(sigma: u32, k: u32, words: Vec<u64>) -> Option<Self> {
+        let empty = BloomFilter::new(sigma, k);
+        let tail = sigma % 64;
+        let padding_clear = tail == 0 || words.last().is_some_and(|&w| w >> tail == 0);
+        (words.len() == empty.words.len() && padding_clear)
+            .then_some(BloomFilter { words, ..empty })
+    }
+
     /// Clears every bit.
     pub fn clear(&mut self) {
         self.words.fill(0);
     }
 
-    /// Rebuilds a filter from an exact bit sequence (e.g. after VLFL
-    /// decompression).
+    /// Rebuilds a filter from an exact bit sequence, as produced by
+    /// [`BloomFilter::bits`].
     ///
     /// # Panics
     ///
@@ -194,6 +249,31 @@ impl BloomFilter {
     /// Wire size of the uncompressed filter, bytes.
     pub fn wire_bytes(&self) -> u64 {
         (self.sigma as u64).div_ceil(8)
+    }
+}
+
+/// Iterator over the set positions of a [`BloomFilter`], least first;
+/// see [`BloomFilter::ones`].
+struct Ones<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    /// Position of bit 0 of `word`.
+    base: u32,
+    /// The unvisited set bits of the current word.
+    word: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.word == 0 {
+            let (i, &word) = self.words.next()?;
+            self.base = i as u32 * 64;
+            self.word = word;
+        }
+        let pos = self.base + self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(pos)
     }
 }
 

@@ -28,10 +28,12 @@ use crate::{data_positions, BloomFilter};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingFilter {
-    sigma: u32,
-    k: u32,
     max: u16,
     counters: Vec<u16>,
+    /// The cache signature: bit `i` is set exactly when counter `i` is
+    /// non-zero. Derived state, flipped at every 0 ↔ non-zero transition
+    /// so reading it never scans the σ counters.
+    signature: BloomFilter,
 }
 
 /// Error signalling that a decrement hit a zero counter, meaning earlier
@@ -63,25 +65,24 @@ impl CountingFilter {
             "counter width must be 1..=16 bits"
         );
         CountingFilter {
-            sigma,
-            k,
             max: if pi_c == 16 {
                 u16::MAX
             } else {
                 (1u16 << pi_c) - 1
             },
             counters: vec![0; sigma as usize],
+            signature: BloomFilter::new(sigma, k),
         }
     }
 
     /// Number of counters σ.
     pub fn sigma(&self) -> u32 {
-        self.sigma
+        self.signature.sigma()
     }
 
     /// Number of hash functions k.
     pub fn k(&self) -> u32 {
-        self.k
+        self.signature.k()
     }
 
     /// Records a cache insertion of `key`. Saturated counters stay put.
@@ -94,10 +95,11 @@ impl CountingFilter {
     /// of Section IV.D.4. Saturated counters stay put.
     pub fn insert_transitions(&mut self, key: u64) -> Vec<u32> {
         let mut newly_set = Vec::new();
-        for pos in data_positions(key, self.sigma, self.k) {
+        for pos in data_positions(key, self.sigma(), self.k()) {
             let c = &mut self.counters[pos as usize];
             if *c == 0 {
                 newly_set.push(pos);
+                self.signature.set_bit(pos);
             }
             if *c < self.max {
                 *c += 1;
@@ -125,8 +127,13 @@ impl CountingFilter {
     ///
     /// Returns [`NeedsRebuild`] as for [`CountingFilter::remove`].
     pub fn remove_transitions(&mut self, key: u64) -> Result<Vec<u32>, NeedsRebuild> {
-        let positions = data_positions(key, self.sigma, self.k);
-        if positions.iter().any(|&p| self.counters[p as usize] == 0) {
+        let positions = data_positions(key, self.sigma(), self.k());
+        // A position the key hashes to twice is decremented twice.
+        let underflows = |p: u32| {
+            let times = positions.iter().filter(|&&q| q == p).count();
+            usize::from(self.counters[p as usize]) < times
+        };
+        if positions.iter().any(|&p| underflows(p)) {
             return Err(NeedsRebuild);
         }
         let mut newly_reset = Vec::new();
@@ -135,6 +142,7 @@ impl CountingFilter {
             *c -= 1;
             if *c == 0 {
                 newly_reset.push(pos);
+                self.signature.clear_bit(pos);
             }
         }
         Ok(newly_reset)
@@ -142,22 +150,26 @@ impl CountingFilter {
 
     /// Resets and reconstructs the vector from the full cache contents.
     pub fn rebuild(&mut self, keys: impl IntoIterator<Item = u64>) {
-        self.counters.fill(0);
+        self.clear();
         for key in keys {
             self.insert(key);
         }
     }
 
+    /// Zeroes every counter, visiting only the non-zero ones.
+    fn clear(&mut self) {
+        for pos in self.signature.ones() {
+            if let Some(c) = self.counters.get_mut(pos as usize) {
+                *c = 0;
+            }
+        }
+        self.signature.clear();
+    }
+
     /// The cache signature: a bloom filter with a bit set wherever the
     /// counter is non-zero.
     pub fn to_bloom(&self) -> BloomFilter {
-        let mut f = BloomFilter::new(self.sigma, self.k);
-        for (i, &c) in self.counters.iter().enumerate() {
-            if c > 0 {
-                f.set_bit(i as u32);
-            }
-        }
-        f
+        self.signature.clone()
     }
 
     /// Reads one counter value.
@@ -169,24 +181,33 @@ impl CountingFilter {
         self.counters[pos as usize]
     }
 
-    /// The full counter vector, for checkpointing.
+    /// The full counter vector.
     pub fn counters(&self) -> &[u16] {
         &self.counters
     }
 
-    /// Overwrites the counter vector with one previously read back via
-    /// [`CountingFilter::counters`].
+    /// The non-zero counters as `(position, value)`, least position
+    /// first — what a checkpoint stores.
+    pub fn nonzero_counters(&self) -> impl Iterator<Item = (u32, u16)> + '_ {
+        self.signature
+            .ones()
+            .map(|pos| (pos, self.counters[pos as usize]))
+    }
+
+    /// Overwrites the vector with counters read back via
+    /// [`CountingFilter::nonzero_counters`]; every other counter becomes
+    /// zero.
     ///
     /// # Panics
     ///
-    /// Panics if the length differs from σ.
-    pub fn restore_counters(&mut self, counters: &[u16]) {
-        assert_eq!(
-            counters.len(),
-            self.sigma as usize,
-            "counter vector length must equal sigma"
-        );
-        self.counters.copy_from_slice(counters);
+    /// Panics if a position is out of range or a value is zero.
+    pub fn restore_counters(&mut self, nonzero: &[(u32, u16)]) {
+        self.clear();
+        for &(pos, value) in nonzero {
+            assert!(value > 0, "restored counters must be non-zero");
+            self.signature.set_bit(pos);
+            self.counters[pos as usize] = value;
+        }
     }
 }
 
@@ -248,6 +269,23 @@ mod tests {
         assert_eq!(cf.remove(key), Err(NeedsRebuild));
         cf.rebuild([key]);
         assert!(cf.to_bloom().contains(key));
+    }
+
+    #[test]
+    fn repeated_position_underflow_reports_needs_rebuild() {
+        // A key whose k = 2 positions coincide, in an odd-sized filter.
+        let key = (0..10_000u64)
+            .find(|&x| {
+                let p = data_positions(x, 21, 2);
+                p[0] == p[1]
+            })
+            .unwrap();
+        let mut cf = CountingFilter::new(21, 2, 1); // saturates at 1
+        cf.insert(key);
+        assert_eq!(cf.remove(key), Err(NeedsRebuild));
+        assert!(cf.to_bloom().contains(key), "left untouched");
+        cf.rebuild([]);
+        assert_eq!(cf.to_bloom().count_ones(), 0);
     }
 
     #[test]

@@ -27,13 +27,18 @@ use crate::BloomFilter;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerVector {
-    sigma: u32,
-    k: u32,
+    /// The σ counters, allocated when one first becomes non-zero: a host
+    /// that never folds in a member's signature (every host under a
+    /// scheme without TCGs) holds none. Empty means all zero.
     counters: Vec<u32>,
     /// `value_counts[v]` = number of counters currently holding value `v`;
     /// keeps the maximum (and hence the width π_p) O(1) to maintain.
     value_counts: Vec<u64>,
     max_value: u32,
+    /// The peer signature: bit `i` is set exactly when counter `i` is
+    /// non-zero. Derived state, flipped at every 0 ↔ non-zero transition
+    /// so resets and checkpoints visit only the non-zero counters.
+    signature: BloomFilter,
 }
 
 impl PeerVector {
@@ -46,17 +51,16 @@ impl PeerVector {
     pub fn new(sigma: u32, k: u32) -> Self {
         assert!(sigma > 0 && k > 0, "filter geometry must be positive");
         PeerVector {
-            sigma,
-            k,
-            counters: vec![0; sigma as usize],
+            counters: Vec::new(),
             value_counts: vec![sigma as u64],
             max_value: 0,
+            signature: BloomFilter::new(sigma, k),
         }
     }
 
     /// Number of counters σ.
     pub fn sigma(&self) -> u32 {
-        self.sigma
+        self.signature.sigma()
     }
 
     /// The current counter width `π_p` in bits: the smallest width holding
@@ -69,12 +73,26 @@ impl PeerVector {
     /// Memory footprint of the vector at the current width, in bits — the
     /// quantity the dynamic-width scheme is minimising.
     pub fn storage_bits(&self) -> u64 {
-        self.sigma as u64 * self.width_bits() as u64
+        self.sigma() as u64 * self.width_bits() as u64
+    }
+
+    /// Counter `pos`, zero while the counters are unallocated.
+    fn counter(&self, pos: u32) -> u32 {
+        assert!(pos < self.sigma(), "bit position out of range");
+        self.counters.get(pos as usize).copied().unwrap_or(0)
     }
 
     fn set_counter(&mut self, pos: usize, new: u32) {
+        if self.counters.is_empty() {
+            self.counters.resize(self.sigma() as usize, 0);
+        }
         let old = self.counters[pos];
         self.counters[pos] = new;
+        if old == 0 {
+            self.signature.set_bit(pos as u32);
+        } else if new == 0 {
+            self.signature.clear_bit(pos as u32);
+        }
         self.value_counts[old as usize] -= 1;
         if new as usize >= self.value_counts.len() {
             self.value_counts.resize(new as usize + 1, 0);
@@ -96,12 +114,10 @@ impl PeerVector {
     ///
     /// Panics if the signature geometry differs.
     pub fn add_signature(&mut self, sig: &BloomFilter) {
-        assert_eq!(sig.sigma(), self.sigma, "filter sizes must match");
-        assert_eq!(sig.k(), self.k, "hash counts must match");
-        for (i, bit) in sig.bits().enumerate() {
-            if bit {
-                self.set_counter(i, self.counters[i] + 1);
-            }
+        assert_eq!(sig.sigma(), self.sigma(), "filter sizes must match");
+        assert_eq!(sig.k(), self.signature.k(), "hash counts must match");
+        for pos in sig.ones() {
+            self.set_counter(pos as usize, self.counter(pos) + 1);
         }
     }
 
@@ -115,10 +131,10 @@ impl PeerVector {
     /// Panics if any position is out of range.
     pub fn apply_update(&mut self, insertions: &[u32], evictions: &[u32]) {
         for &pos in insertions {
-            self.set_counter(pos as usize, self.counters[pos as usize] + 1);
+            self.set_counter(pos as usize, self.counter(pos) + 1);
         }
         for &pos in evictions {
-            let c = self.counters[pos as usize];
+            let c = self.counter(pos);
             if c > 0 {
                 self.set_counter(pos as usize, c - 1);
             }
@@ -128,9 +144,14 @@ impl PeerVector {
     /// Resets all counters (TCG membership change / reconnection) and the
     /// width to zero.
     pub fn reset(&mut self) {
-        self.counters.fill(0);
+        for pos in self.signature.ones() {
+            if let Some(c) = self.counters.get_mut(pos as usize) {
+                *c = 0;
+            }
+        }
+        self.signature.clear();
         self.value_counts.clear();
-        self.value_counts.push(self.sigma as u64);
+        self.value_counts.push(self.sigma() as u64);
         self.max_value = 0;
     }
 
@@ -140,7 +161,7 @@ impl PeerVector {
     ///
     /// Panics if `pos >= sigma`.
     pub fn bit(&self, pos: u32) -> bool {
-        self.counters[pos as usize] > 0
+        self.signature.bit(pos)
     }
 
     /// Whether every position of a data/search signature is covered — the
@@ -151,46 +172,47 @@ impl PeerVector {
 
     /// Membership test against the implied peer signature.
     pub fn peer_signature_contains(&self, key: u64) -> bool {
-        self.covers(&crate::data_positions(key, self.sigma, self.k))
+        self.covers(&crate::data_positions(
+            key,
+            self.sigma(),
+            self.signature.k(),
+        ))
     }
 
-    /// The full counter vector, for checkpointing.
+    /// The counter vector: empty (all zero) until a counter first
+    /// becomes non-zero, σ long from then on.
     pub fn counters(&self) -> &[u32] {
         &self.counters
     }
 
-    /// Overwrites the counter vector with one previously read back via
-    /// [`PeerVector::counters`], recomputing the width bookkeeping
-    /// (`value_counts` and the running maximum are pure functions of the
-    /// counters).
+    /// The non-zero counters as `(position, value)`, least position
+    /// first — what a checkpoint stores.
+    pub fn nonzero_counters(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.signature
+            .ones()
+            .map(|pos| (pos, self.counters[pos as usize]))
+    }
+
+    /// Overwrites the vector with counters read back via
+    /// [`PeerVector::nonzero_counters`]; every other counter becomes zero.
+    /// The width bookkeeping follows, as it is a pure function of the
+    /// counters.
     ///
     /// # Panics
     ///
-    /// Panics if the length differs from σ.
-    pub fn restore_counters(&mut self, counters: &[u32]) {
-        assert_eq!(
-            counters.len(),
-            self.sigma as usize,
-            "counter vector length must equal sigma"
-        );
-        self.counters.copy_from_slice(counters);
-        self.max_value = counters.iter().copied().max().unwrap_or(0);
-        self.value_counts.clear();
-        self.value_counts.resize(self.max_value as usize + 1, 0);
-        for &c in counters {
-            self.value_counts[c as usize] += 1;
+    /// Panics if a position is out of range or a value is zero.
+    pub fn restore_counters(&mut self, nonzero: &[(u32, u32)]) {
+        self.reset();
+        for &(pos, value) in nonzero {
+            assert!(value > 0, "restored counters must be non-zero");
+            assert!(pos < self.sigma(), "bit position out of range");
+            self.set_counter(pos as usize, value);
         }
     }
 
     /// Materialises the peer signature as a bloom filter.
     pub fn to_bloom(&self) -> BloomFilter {
-        let mut f = BloomFilter::new(self.sigma, self.k);
-        for (i, &c) in self.counters.iter().enumerate() {
-            if c > 0 {
-                f.set_bit(i as u32);
-            }
-        }
-        f
+        self.signature.clone()
     }
 }
 

@@ -39,29 +39,29 @@ pub struct CompressedSignature {
 impl CompressedSignature {
     /// Compresses `filter` with run-length bound `R` (must be `2^l − 1`).
     ///
+    /// Walks the set positions only: a gap of `g` zeros before a one is
+    /// `⌊g/R⌋` full-run codewords `R`, then the terminated run `g mod R`.
+    ///
     /// # Panics
     ///
     /// Panics if `r + 1` is not a power of two or `r` is zero.
     pub fn encode(filter: &BloomFilter, r: u32) -> Self {
         assert!(r > 0 && (r + 1).is_power_of_two(), "R must be 2^l - 1");
         let mut codewords = Vec::new();
-        let mut run = 0u32;
-        for bit in filter.bits() {
-            if bit {
-                codewords.push(run);
-                run = 0;
-            } else {
-                run += 1;
-                if run == r {
-                    codewords.push(r);
-                    run = 0;
-                }
-            }
+        let mut next = 0u32; // first position no codeword covers yet
+        for pos in filter.ones() {
+            let gap = pos - next;
+            codewords.extend(std::iter::repeat_n(r, (gap / r) as usize));
+            codewords.push(gap % r);
+            next = pos + 1;
         }
-        if run > 0 {
+        let tail = filter.sigma() - next;
+        codewords.extend(std::iter::repeat_n(r, (tail / r) as usize));
+        let rest = tail % r;
+        if rest > 0 {
             // Trailing zeros shorter than R: the decoder knows the total
             // length, so the missing terminator is unambiguous.
-            codewords.push(run);
+            codewords.push(rest);
         }
         CompressedSignature {
             sigma: filter.sigma(),
@@ -78,24 +78,26 @@ impl CompressedSignature {
     /// Returns [`DecodeSignatureError`] if the codeword stream does not
     /// reproduce exactly σ bits.
     pub fn decode(&self) -> Result<BloomFilter, DecodeSignatureError> {
-        let sigma = self.sigma as usize;
-        let mut bits = Vec::with_capacity(sigma);
+        let sigma = u64::from(self.sigma);
+        let mut filter = BloomFilter::new(self.sigma, self.k);
+        let mut len = 0u64; // bits decoded so far
         for &cw in &self.codewords {
-            if cw > self.r || bits.len() >= sigma {
+            if cw > self.r || len >= sigma {
                 return Err(DecodeSignatureError);
             }
-            bits.resize(bits.len() + cw as usize, false);
-            if cw < self.r && bits.len() < sigma {
-                bits.push(true);
+            len += u64::from(cw);
+            if cw < self.r && len < sigma {
+                filter.set_bit(len as u32);
+                len += 1;
             }
-            if bits.len() > sigma {
+            if len > sigma {
                 return Err(DecodeSignatureError);
             }
         }
-        if bits.len() != sigma {
+        if len != sigma {
             return Err(DecodeSignatureError);
         }
-        Ok(BloomFilter::from_bits(self.sigma, self.k, &bits))
+        Ok(filter)
     }
 
     /// The run-length bound R.
@@ -106,6 +108,12 @@ impl CompressedSignature {
     /// Number of fixed-length codewords.
     pub fn codeword_count(&self) -> usize {
         self.codewords.len()
+    }
+
+    /// The codeword stream: each value is a run of that many zeros,
+    /// followed by a one unless the value is R.
+    pub fn codewords(&self) -> &[u32] {
+        &self.codewords
     }
 
     /// Compressed payload size in bits: codewords × log2(R+1).

@@ -2,6 +2,10 @@
 //! trips over arbitrary bit patterns, counting-filter consistency against
 //! a reference set, and peer-vector consistency against a reference
 //! multiset.
+//!
+//! The signature kernels walk only set bits and non-zero counters. Each
+//! is checked here against the σ-wide algorithm it replaced, kept below
+//! as a reference.
 
 use std::collections::HashMap;
 
@@ -12,6 +16,68 @@ use proptest::prelude::*;
 
 fn arb_r() -> impl Strategy<Value = u32> {
     (1u32..=10).prop_map(|l| (1u32 << l) - 1)
+}
+
+/// Bit patterns of 1..3,000 bits at densities from empty to full, so
+/// zero runs both shorter and far longer than any R occur.
+fn arb_bits() -> impl Strategy<Value = Vec<bool>> {
+    (
+        proptest::collection::vec(0u32..1_000, 1..3_000),
+        prop_oneof![Just(0u32), 0u32..20, 0u32..1_001],
+    )
+        .prop_map(|(draws, per_mille)| draws.into_iter().map(|d| d < per_mille).collect())
+}
+
+/// Reference: the cache signature as a σ-scan of the counters.
+fn scan_signature(counters: &[u16], k: u32) -> BloomFilter {
+    let bits: Vec<bool> = counters.iter().map(|&c| c > 0).collect();
+    BloomFilter::from_bits(counters.len() as u32, k, &bits)
+}
+
+/// Reference: the VLFL encoder visiting every one of the σ bits.
+fn reference_codewords(filter: &BloomFilter, r: u32) -> Vec<u32> {
+    let mut codewords = Vec::new();
+    let mut run = 0u32;
+    for bit in filter.bits() {
+        if bit {
+            codewords.push(run);
+            run = 0;
+        } else {
+            run += 1;
+            if run == r {
+                codewords.push(r);
+                run = 0;
+            }
+        }
+    }
+    if run > 0 {
+        codewords.push(run);
+    }
+    codewords
+}
+
+/// Reference: folding a signature into counters one bit at a time.
+fn reference_fold(counters: &mut [u32], sig: &BloomFilter) {
+    for (c, bit) in counters.iter_mut().zip(sig.bits()) {
+        *c += u32::from(bit);
+    }
+}
+
+/// A counter vector as σ values; an empty one is all zero.
+fn dense(counters: &[u32], sigma: u32) -> Vec<u32> {
+    if counters.is_empty() {
+        vec![0; sigma as usize]
+    } else {
+        counters.to_vec()
+    }
+}
+
+/// Reference: the non-zero entries of a dense counter vector.
+fn scan_nonzero<T: Copy + Default + PartialEq>(counters: &[T]) -> Vec<(u32, T)> {
+    (0u32..)
+        .zip(counters.iter().copied())
+        .filter(|&(_, c)| c != T::default())
+        .collect()
 }
 
 proptest! {
@@ -135,6 +201,128 @@ proptest! {
             let _ = pv.bit(i);
         }
         prop_assert!(pv.width_bits() <= 1);
+    }
+
+    /// The set-position iterator yields exactly the positions `bits()`
+    /// reports set, and the backing words rebuild the same filter.
+    #[test]
+    fn ones_are_the_set_bits(bits in arb_bits(), k in 1u32..4) {
+        let filter = BloomFilter::from_bits(bits.len() as u32, k, &bits);
+        let ones: Vec<u32> = filter.ones().collect();
+        let set: Vec<u32> = (0u32..).zip(&bits).filter(|&(_, &b)| b).map(|(i, _)| i).collect();
+        prop_assert_eq!(ones, set);
+        let words = filter.words().to_vec();
+        prop_assert_eq!(BloomFilter::from_words(filter.sigma(), k, words), Some(filter));
+    }
+
+    /// The set-position VLFL encoder emits the same codewords as the
+    /// bit-by-bit reference, and its output decodes to the same filter.
+    #[test]
+    fn vlfl_encode_matches_bitwise_reference(bits in arb_bits(), r in arb_r()) {
+        let filter = BloomFilter::from_bits(bits.len() as u32, 2, &bits);
+        let compressed = CompressedSignature::encode(&filter, r);
+        prop_assert_eq!(compressed.codewords(), &reference_codewords(&filter, r)[..]);
+        prop_assert_eq!(compressed.decode().unwrap(), filter);
+    }
+
+    /// Under random inserts and removes with narrow counters (so they
+    /// saturate, underflow and force a rebuild), explicit rebuilds and
+    /// checkpoint round trips, the kept cache signature always equals a
+    /// σ-scan of the counters, and the non-zero counters are exactly
+    /// the scan's.
+    #[test]
+    fn counting_filter_signature_tracks_counters(
+        ops in proptest::collection::vec((0u8..8, 0u64..24), 0..300),
+        sigma in 16u32..300,
+        k in 1u32..4,
+        pi_c in 1u32..4,
+    ) {
+        let mut cf = CountingFilter::new(sigma, k, pi_c);
+        let mut cached: HashMap<u64, u32> = HashMap::new();
+        let contents = |cached: &HashMap<u64, u32>| -> Vec<u64> {
+            cached.iter().flat_map(|(&key, &n)| std::iter::repeat_n(key, n as usize)).collect()
+        };
+        for (op, key) in ops {
+            match op {
+                0..=3 => {
+                    cf.insert(key);
+                    *cached.entry(key).or_insert(0) += 1;
+                }
+                4..=5 => {
+                    if cached.get(&key).copied().unwrap_or(0) > 0 {
+                        *cached.get_mut(&key).unwrap() -= 1;
+                        if cf.remove(key).is_err() {
+                            cf.rebuild(contents(&cached));
+                        }
+                    }
+                }
+                6 => cf.rebuild(contents(&cached)),
+                _ => {
+                    // Restore into a filter holding unrelated state.
+                    let saved: Vec<(u32, u16)> = cf.nonzero_counters().collect();
+                    let mut restored = CountingFilter::new(sigma, k, pi_c);
+                    restored.insert(key);
+                    restored.restore_counters(&saved);
+                    prop_assert_eq!(&restored, &cf);
+                    cf = restored;
+                }
+            }
+            prop_assert_eq!(cf.to_bloom(), scan_signature(cf.counters(), k));
+            prop_assert_eq!(cf.nonzero_counters().collect::<Vec<_>>(), scan_nonzero(cf.counters()));
+        }
+    }
+
+    /// Folding whole signatures, piggybacked updates and resets into a
+    /// peer vector gives the counters of a per-bit reference fold; its
+    /// peer signature is the σ-scan of those counters, and a checkpoint
+    /// round trip restores the same counters and width.
+    #[test]
+    fn peer_vector_matches_per_bit_fold(
+        ops in proptest::collection::vec(
+            (0u8..7, proptest::collection::hash_set(0u64..80, 0..30)), 0..12),
+        sigma in 16u32..400,
+    ) {
+        let mut pv = PeerVector::new(sigma, 2);
+        let mut reference = vec![0u32; sigma as usize];
+        for (op, keys) in ops {
+            let mut sig = BloomFilter::new(sigma, 2);
+            for &key in &keys {
+                sig.insert(key);
+            }
+            let positions: Vec<u32> = sig.ones().collect();
+            match op {
+                0..=2 => {
+                    pv.add_signature(&sig);
+                    reference_fold(&mut reference, &sig);
+                }
+                3 => {
+                    pv.apply_update(&positions, &[]);
+                    reference_fold(&mut reference, &sig);
+                }
+                4 => {
+                    pv.apply_update(&[], &positions);
+                    for p in positions {
+                        let c = &mut reference[p as usize];
+                        *c = c.saturating_sub(1);
+                    }
+                }
+                _ => {
+                    pv.reset();
+                    reference.fill(0);
+                }
+            }
+            prop_assert_eq!(dense(pv.counters(), sigma), reference.clone());
+            let bits: Vec<bool> = reference.iter().map(|&c| c > 0).collect();
+            prop_assert_eq!(pv.to_bloom(), BloomFilter::from_bits(sigma, 2, &bits));
+            let saved: Vec<(u32, u32)> = pv.nonzero_counters().collect();
+            prop_assert_eq!(&saved, &scan_nonzero(&reference));
+            let mut restored = PeerVector::new(sigma, 2);
+            restored.add_signature(&sig);
+            restored.restore_counters(&saved);
+            prop_assert_eq!(dense(restored.counters(), sigma), reference.clone());
+            prop_assert_eq!(restored.width_bits(), pv.width_bits());
+            prop_assert_eq!(restored.to_bloom(), pv.to_bloom());
+        }
     }
 
     /// Data positions are deterministic, in range, and have exactly k

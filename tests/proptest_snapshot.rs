@@ -41,11 +41,11 @@ fn small_cfg(
     cfg.n_data = 240;
     cfg.access_range = 100;
     cfg.cache_size = 20;
-    // The signature-filter width dominates snapshot size (~6 bytes per
-    // counter per host); the default 10 000 is sized for the paper's
-    // database, not this 240-item world. Shrinking it keeps snapshots
-    // small enough that the exhaustive per-offset corruption sweep
-    // (quadratic in snapshot length) stays fast.
+    // Signature counters are stored sparsely, but each in-flight
+    // `SigReply` still carries a σ-bit payload; the default 10 000 is
+    // sized for the paper's database, not this 240-item world. A small
+    // σ keeps snapshots short, so the exhaustive per-offset corruption
+    // sweep (quadratic in snapshot length) stays fast.
     cfg.sigma = 128;
     cfg.faults =
         FaultPlan::profile(FaultPlan::PROFILE_NAMES[fault % FaultPlan::PROFILE_NAMES.len()])
