@@ -6,7 +6,6 @@ fn main() {
     grococa_bench::ablations();
     grococa_bench::policy_comparison();
     grococa_bench::mobility_models();
-    grococa_bench::low_activity();
     grococa_bench::threshold_sensitivity();
     eprintln!("\n[ablations] done in {:?}", t0.elapsed());
 }

@@ -434,46 +434,6 @@ pub fn ablations() -> Vec<AblationRow> {
     rows
 }
 
-/// Hybrid push+pull dissemination sweep (extension): how a broadcast
-/// channel of the hottest items changes latency, server load and power as
-/// the broadcast program grows.
-pub fn hybrid_delivery() -> Vec<(usize, Scheme, Report)> {
-    use grococa_core::DataDelivery;
-    let mut rows = Vec::new();
-    println!("\n## Hybrid delivery — broadcast program size (θ = 0.8)");
-    println!(
-        "{:<12} {:<8} {:>12} {:>8} {:>8} {:>8} {:>12}",
-        "push slots", "scheme", "latency(ms)", "LCH(%)", "GCH(%)", "push(%)", "pw/req(µWs)"
-    );
-    for slots in [0usize, 200, 500, 1_000, 2_000] {
-        for scheme in [Scheme::Coca, Scheme::GroCoca] {
-            let mut cfg = base_config(scheme);
-            cfg.theta = 0.8; // a hot set worth broadcasting
-            if slots > 0 {
-                cfg.delivery = DataDelivery::Hybrid {
-                    push_slots: slots,
-                    push_kbps: 2_000,
-                    refresh_secs: 10.0,
-                    max_wait_secs: 3.0,
-                };
-            }
-            let report = run_one(cfg).report;
-            println!(
-                "{:<12} {:<8} {:>12.2} {:>8.1} {:>8.1} {:>8.1} {:>12.0}",
-                slots,
-                scheme.label(),
-                report.access_latency_ms,
-                report.local_hit_ratio_pct,
-                report.global_hit_ratio_pct,
-                report.push_hit_ratio_pct,
-                report.power_per_request_uws
-            );
-            rows.push((slots, scheme, report));
-        }
-    }
-    rows
-}
-
 /// Compares the client-cache replacement policies under each scheme (the
 /// paper uses LRU throughout; LFU and FIFO are baselines — extension).
 pub fn policy_comparison() -> Vec<(Scheme, &'static str, Report)> {
@@ -535,42 +495,6 @@ pub fn mobility_models() -> Vec<(&'static str, Scheme, Report)> {
             rows.push((name, scheme, report));
         }
         println!("{:<20} {:>14} {:>14}", name, cells[0], cells[1]);
-    }
-    rows
-}
-
-/// Low-activity population sweep (extension, after the authors' companion
-/// study): what fraction of barely-active hosts does to the cooperative
-/// schemes, and what delegating singlet evictions to them recovers.
-pub fn low_activity() -> Vec<(f64, bool, Report)> {
-    let mut rows = Vec::new();
-    println!("\n## Low-activity clients — GCH (%) / latency (ms), GroCoca");
-    println!(
-        "{:<12} {:>16} {:>16} {:>12}",
-        "fraction", "no delegation", "delegation", "delegations"
-    );
-    for fraction in [0.0, 0.2, 0.4, 0.6] {
-        let mut cells = Vec::new();
-        let mut delegations = 0;
-        for delegate in [false, true] {
-            let mut cfg = base_config(Scheme::GroCoca);
-            cfg.low_activity_fraction = fraction;
-            cfg.low_activity_slowdown = 10.0;
-            cfg.delegate_singlets = delegate;
-            let out = run_one(cfg);
-            cells.push(format!(
-                "{:.1}/{:.1}",
-                out.report.global_hit_ratio_pct, out.report.access_latency_ms
-            ));
-            if delegate {
-                delegations = out.metrics.delegations;
-            }
-            rows.push((fraction, delegate, out.report));
-        }
-        println!(
-            "{:<12} {:>16} {:>16} {:>12}",
-            fraction, cells[0], cells[1], delegations
-        );
     }
     rows
 }

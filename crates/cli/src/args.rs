@@ -5,7 +5,7 @@
 
 use std::fmt;
 
-use grococa_core::{DataDelivery, FaultPlan, ReplacementPolicy, Scheme, SimConfig};
+use grococa_core::{FaultPlan, ReplacementPolicy, Scheme, SimConfig};
 
 /// A parsed command line.
 #[derive(Debug, Clone)]
@@ -128,11 +128,8 @@ OPTIONS (all optional; defaults are the paper's Table II):
     --downlink-kbps N          server downlink bandwidth [default: 2000]
     --delta-distance M         TCG distance threshold Δ  [default: 100]
     --delta-similarity X       TCG similarity threshold δ[default: 0.05]
-    --hybrid-slots N           enable push channel with N hot slots
-    --low-activity X           fraction of low-activity hosts    [default: 0]
     --faults PROFILE           fault injection: none|lossy|flaky|outage|chaos
                                [default: none]
-    --delegate-singlets        delegate singlet evictions to low-activity TCG members
     --ndp-tables               use NDP link tables instead of geometry
     --account-beacons          meter NDP beacon power
     --csv                      machine-readable CSV output
@@ -220,15 +217,6 @@ fn apply_flag(cfg: &mut SimConfig, flag: &str, value: Option<&str>) -> Result<bo
         "--downlink-kbps" => cfg.downlink_kbps = parse(flag, value)?,
         "--delta-distance" => cfg.tcg_distance = parse(flag, value)?,
         "--delta-similarity" => cfg.tcg_similarity = parse(flag, value)?,
-        "--hybrid-slots" => {
-            cfg.delivery = DataDelivery::Hybrid {
-                push_slots: parse(flag, value)?,
-                push_kbps: 2_000,
-                refresh_secs: 10.0,
-                max_wait_secs: 3.0,
-            }
-        }
-        "--low-activity" => cfg.low_activity_fraction = parse(flag, value)?,
         "--faults" => {
             let name = parse::<String>(flag, value)?;
             cfg.faults = FaultPlan::profile(&name).ok_or_else(|| {
@@ -237,10 +225,6 @@ fn apply_flag(cfg: &mut SimConfig, flag: &str, value: Option<&str>) -> Result<bo
                     FaultPlan::PROFILE_NAMES.join("|")
                 ))
             })?;
-        }
-        "--delegate-singlets" => {
-            cfg.delegate_singlets = true;
-            return Ok(false);
         }
         "--ndp-tables" => {
             cfg.ndp_tables = true;
@@ -625,23 +609,6 @@ mod tests {
                 assert!(cfg.ndp_tables);
                 assert!(cfg.account_beacons);
                 assert_eq!(cfg.num_clients, 9);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hybrid_flag_sets_delivery() {
-        let cli = parse_args(&argv("run --hybrid-slots 500")).unwrap();
-        match cli.command {
-            Command::Run { cfg, .. } => {
-                assert!(matches!(
-                    cfg.delivery,
-                    DataDelivery::Hybrid {
-                        push_slots: 500,
-                        ..
-                    }
-                ));
             }
             other => panic!("wrong command {other:?}"),
         }

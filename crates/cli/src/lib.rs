@@ -745,13 +745,20 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_config_errors_not_panics() {
-        let argv: Vec<String> = "run --clients 0"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let err = execute(&parse_args(&argv).unwrap()).unwrap_err();
-        assert!(matches!(err, CliError::Config(_)), "got: {err:?}");
-        assert!(err.to_string().contains("at least one client"));
+        for (args, why) in [
+            ("run --clients 0", "at least one client"),
+            ("run --downlink-kbps 0", "bandwidths must be positive"),
+            ("run --tran-range NaN", "transmission range"),
+            ("run --tran-range -5", "transmission range"),
+            ("run --delta-distance NaN", "TCG distance threshold"),
+            ("run --delta-similarity NaN", "TCG similarity threshold"),
+            ("run --update-rate NaN", "update rate"),
+        ] {
+            let argv: Vec<String> = args.split_whitespace().map(String::from).collect();
+            let err = execute(&parse_args(&argv).unwrap()).unwrap_err();
+            assert!(matches!(err, CliError::Config(_)), "{args}: got {err:?}");
+            assert!(err.to_string().contains(why), "{args}: {err}");
+        }
     }
 
     #[test]

@@ -3,14 +3,13 @@
 use grococa_core::{Report, Scheme};
 
 /// The columns every output mode emits, in order.
-pub const COLUMNS: [&str; 10] = [
+pub const COLUMNS: [&str; 9] = [
     "scheme",
     "x",
     "latency_ms",
     "lch_pct",
     "gch_pct",
     "srv_pct",
-    "push_pct",
     "power_per_gch_uws",
     "power_per_req_uws",
     "completed",
@@ -86,7 +85,6 @@ fn fields(row: &Row) -> Vec<String> {
                 format!("{:.2}", r.local_hit_ratio_pct),
                 format!("{:.2}", r.global_hit_ratio_pct),
                 format!("{:.2}", r.server_request_ratio_pct),
-                format!("{:.2}", r.push_hit_ratio_pct),
                 power_gch,
                 format!("{:.1}", r.power_per_request_uws),
                 format!("{}", r.completed),
@@ -219,8 +217,8 @@ mod tests {
             Simulation::new(cfg).run().report,
         );
         let csv = to_csv(&[row]);
-        // power_per_gch column (index 7) is empty, not "inf".
+        // power_per_gch column (index 6) is empty, not "inf".
         let cells: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
-        assert_eq!(cells[7], "");
+        assert_eq!(cells[6], "");
     }
 }

@@ -73,44 +73,6 @@ impl Default for GroCocaToggles {
     }
 }
 
-/// How the MSS disseminates data (the paper's Section I taxonomy).
-///
-/// The paper's evaluation uses the pull-based model; the hybrid model —
-/// a cyclic broadcast "disk" of the hottest items alongside the pull
-/// channel, which the authors study in a companion paper — is provided as
-/// an extension.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DataDelivery {
-    /// Pull only: every server interaction is an explicit request (the
-    /// paper's evaluated model).
-    Pull,
-    /// Pull plus a push broadcast channel.
-    Hybrid {
-        /// How many of the hottest items the broadcast cycle carries.
-        push_slots: usize,
-        /// Broadcast channel bandwidth, kb/s.
-        push_kbps: u64,
-        /// How often the MSS recomputes the broadcast program, seconds.
-        refresh_secs: f64,
-        /// A host tunes in only when the item's next broadcast completes
-        /// within this many seconds; otherwise it pulls.
-        max_wait_secs: f64,
-    },
-}
-
-impl DataDelivery {
-    /// A hybrid configuration with conventional defaults (500 hot items,
-    /// a dedicated 2 Mb/s broadcast channel, 10 s refresh, 3 s patience).
-    pub fn hybrid() -> Self {
-        DataDelivery::Hybrid {
-            push_slots: 500,
-            push_kbps: 2_000,
-            refresh_secs: 10.0,
-            max_wait_secs: 3.0,
-        }
-    }
-}
-
 /// The full simulation configuration (paper Table II).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -153,24 +115,8 @@ pub struct SimConfig {
     /// Mean think time between a completion and the next request, seconds
     /// (exponential; the paper uses one second).
     pub mean_interarrival_secs: f64,
-    /// Fraction of hosts that are low-activity (their think time is
-    /// multiplied by `low_activity_slowdown`). Models the heterogeneous
-    /// populations of the authors' companion study on utilising the cache
-    /// space of low-activity clients. Zero (the paper's homogeneous
-    /// population) by default.
-    pub low_activity_fraction: f64,
-    /// Think-time multiplier for low-activity hosts.
-    pub low_activity_slowdown: f64,
-    /// GroCoca extension: when cooperative replacement would evict an
-    /// item with no replica in the group (a singlet), delegate it to a
-    /// low-activity TCG member in range instead of losing it from the
-    /// aggregate cache. Off by default (not part of the evaluated paper).
-    pub delegate_singlets: bool,
     /// `DataUpdateRate`: server-side updates per second (0 = none).
     pub update_rate: f64,
-    /// Pull-only (the paper) or hybrid push+pull dissemination
-    /// (extension).
-    pub delivery: DataDelivery,
     /// EWMA weight α for per-item update intervals.
     pub alpha: f64,
 
@@ -286,11 +232,7 @@ impl Default for SimConfig {
             access_range: 1_000,
             theta: 0.5,
             mean_interarrival_secs: 1.0,
-            low_activity_fraction: 0.0,
-            low_activity_slowdown: 10.0,
-            delegate_singlets: false,
             update_rate: 0.0,
-            delivery: DataDelivery::Pull,
             alpha: 0.5,
             uplink_kbps: 200,
             downlink_kbps: 2_000,
@@ -373,6 +315,21 @@ impl SimConfig {
         ensure!(self.theta >= 0.0, "Zipf skew must be non-negative");
         ensure!(self.hop_dist > 0, "HopDist must be at least 1");
         ensure!(
+            self.uplink_kbps > 0 && self.downlink_kbps > 0 && self.p2p_kbps > 0,
+            "bandwidths must be positive"
+        );
+        for (value, name) in [
+            (self.tran_range, "transmission range"),
+            (self.tcg_distance, "TCG distance threshold"),
+            (self.tcg_similarity, "TCG similarity threshold"),
+            (self.update_rate, "update rate"),
+        ] {
+            ensure!(
+                value.is_finite() && value >= 0.0,
+                format!("{name} must be finite and non-negative")
+            );
+        }
+        ensure!(
             (0.0..=1.0).contains(&self.p_disc),
             "disconnection probability must lie in [0, 1]"
         );
@@ -385,14 +342,6 @@ impl SimConfig {
             "rho_p must lie in [0, 1]"
         );
         ensure!(
-            (0.0..=1.0).contains(&self.low_activity_fraction),
-            "low-activity fraction must lie in [0, 1]"
-        );
-        ensure!(
-            self.low_activity_slowdown >= 1.0,
-            "low-activity slowdown must be at least 1"
-        );
-        ensure!(
             self.sigma > 0 && self.bloom_k > 0,
             "bloom geometry must be positive"
         );
@@ -401,21 +350,6 @@ impl SimConfig {
             self.replace_candidate > 0,
             "need at least one replacement candidate"
         );
-        if let DataDelivery::Hybrid {
-            push_slots,
-            push_kbps,
-            refresh_secs,
-            max_wait_secs,
-        } = self.delivery
-        {
-            ensure!(push_slots > 0, "a hybrid channel must carry items");
-            ensure!(push_kbps > 0, "broadcast bandwidth must be positive");
-            ensure!(
-                refresh_secs > 0.0,
-                "schedule refresh period must be positive"
-            );
-            ensure!(max_wait_secs >= 0.0, "push patience cannot be negative");
-        }
         ensure!(
             self.speed.0 > 0.0 && self.speed.1 >= self.speed.0,
             "bad speed range"
@@ -461,10 +395,6 @@ impl SimConfig {
         ensure!(
             self.retry.solo_after_failures > 0 && self.retry.solo_probe_every > 0,
             "solo-mode thresholds must be positive"
-        );
-        ensure!(
-            self.retry.delegation_copies > 0,
-            "delegation needs at least one transmission"
         );
         if let Some(deadline) = self.hang_deadline_secs {
             ensure!(deadline > 0.0, "hang deadline must be positive");
@@ -557,6 +487,39 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_bad_bandwidths_ranges_and_thresholds() {
+        let zero_bandwidths: [fn(&mut SimConfig); 3] = [
+            |c| c.uplink_kbps = 0,
+            |c| c.downlink_kbps = 0,
+            |c| c.p2p_kbps = 0,
+        ];
+        for zero in zero_bandwidths {
+            let mut cfg = SimConfig::default();
+            zero(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err.message(), "bandwidths must be positive");
+        }
+        type Setter = fn(&mut SimConfig, f64);
+        let setters: [(Setter, &str); 4] = [
+            (|c, x| c.tran_range = x, "transmission range"),
+            (|c, x| c.tcg_distance = x, "TCG distance threshold"),
+            (|c, x| c.tcg_similarity = x, "TCG similarity threshold"),
+            (|c, x| c.update_rate = x, "update rate"),
+        ];
+        for (set, name) in setters {
+            for bad in [f64::NAN, -5.0, f64::INFINITY] {
+                let mut cfg = SimConfig::default();
+                set(&mut cfg, bad);
+                let err = cfg.validate().unwrap_err();
+                assert!(err.message().starts_with(name), "{name} = {bad}: {err}");
+            }
+            let mut cfg = SimConfig::default();
+            set(&mut cfg, 0.0);
+            assert!(cfg.validate().is_ok(), "{name} = 0 is valid");
+        }
+    }
+
+    #[test]
     fn validate_rejects_bad_fault_plans() {
         let cfg = SimConfig {
             faults: FaultPlan {
@@ -620,7 +583,7 @@ mod tests {
                 ..SimConfig::default()
             },
             SimConfig {
-                delivery: DataDelivery::hybrid(),
+                motion_model: MotionModel::Manhattan,
                 ..SimConfig::default()
             },
             SimConfig {

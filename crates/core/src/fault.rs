@@ -28,16 +28,14 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// Per-delivery loss probability on every P2P leg (broadcast search
-    /// legs, replies, retrieves, data transfers, signature traffic,
-    /// delegation handoffs, and NDP beacon receptions). The transmitter
-    /// still pays power — the frame was sent, the receiver just never
-    /// decodes it.
+    /// legs, replies, retrieves, data transfers, signature traffic and
+    /// NDP beacon receptions). The transmitter still pays power — the
+    /// frame was sent, the receiver just never decodes it.
     pub p2p_loss: f64,
     /// Per-delivery payload-corruption probability on data-bearing P2P
-    /// messages (peer data, signature replies, delegated items). A
-    /// corrupted payload fails the signature/integrity check at the
-    /// receiver and is dropped — recovery rides the same retry paths as
-    /// loss.
+    /// messages (peer data, signature replies). A corrupted payload
+    /// fails the signature/integrity check at the receiver and is
+    /// dropped — recovery rides the same retry paths as loss.
     pub corruption: f64,
     /// Probability that a provider departs (disconnects) at the moment
     /// it would start streaming data to a requester, modelling
@@ -150,10 +148,6 @@ pub struct RetryPolicy {
     /// again. Amortises the probe cost so a fully partitioned
     /// cooperative host converges to conventional-caching latency.
     pub solo_probe_every: u32,
-    /// Total transmissions of a delegation handoff (1 = no hardening).
-    /// Duplicates are safe: a delegate already caching the item ignores
-    /// the copy.
-    pub delegation_copies: u32,
     /// Extra beacon rounds of NDP staleness grace: a link under faults
     /// may miss `ndp_miss_threshold + ndp_grace_rounds` rounds before it
     /// is declared failed, so lost beacons do not flap the link table.
@@ -171,7 +165,6 @@ impl Default for RetryPolicy {
             max_backoff_secs: 60.0,
             solo_after_failures: 3,
             solo_probe_every: 64,
-            delegation_copies: 2,
             ndp_grace_rounds: 2,
         }
     }
@@ -200,8 +193,6 @@ pub struct FaultStats {
     pub retrieve_retries: u64,
     /// Server interactions re-sent by the server watchdog.
     pub server_retries: u64,
-    /// Delegation handoff duplicates transmitted.
-    pub delegation_retransmits: u64,
     /// Times a host entered solo mode.
     pub solo_entries: u64,
     /// Peer searches skipped while in solo mode.

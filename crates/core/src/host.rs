@@ -18,9 +18,6 @@ pub enum Phase {
     Server,
     /// TTL-expired local copy being revalidated with the MSS.
     Validating,
-    /// Tuned in to the push broadcast channel, waiting for the item's
-    /// slot (hybrid dissemination extension).
-    Tuning,
 }
 
 /// The outstanding request of a host (each host runs a closed loop: at most

@@ -56,7 +56,7 @@ mod snapshot;
 mod tcg;
 mod trace;
 
-pub use config::{DataDelivery, GroCocaToggles, Scheme, SimConfig};
+pub use config::{GroCocaToggles, Scheme, SimConfig};
 pub use error::SimError;
 pub use fault::{AuditReport, ConfigError, FaultPlan, FaultStats, RetryPolicy};
 pub use grococa_cache::ReplacementPolicy;

@@ -14,9 +14,6 @@ pub enum Outcome {
     Global,
     /// Served by the mobile support station.
     Server,
-    /// Delivered by the push broadcast channel (hybrid dissemination
-    /// extension; never occurs under pull-only delivery).
-    Push,
 }
 
 /// Raw counters collected during the recorded window of a run.
@@ -30,8 +27,6 @@ pub struct Metrics {
     pub global_hits: u64,
     /// Server-served completions.
     pub server_requests: u64,
-    /// Completions served by the push broadcast channel.
-    pub push_hits: u64,
     /// Global hits served by a peer of the requester's TCG.
     pub global_hits_from_tcg: u64,
     /// TTL-expired local copies revalidated with the MSS.
@@ -56,9 +51,6 @@ pub struct Metrics {
     pub replicated_evictions: u64,
     /// Items dropped because their SingletTTL expired.
     pub singlet_drops: u64,
-    /// Singlet evictions delegated to low-activity TCG members
-    /// (cache-delegation extension).
-    pub delegations: u64,
     /// Recorded simulated duration (post-warm-up), for rates.
     pub recorded_duration: SimTime,
 }
@@ -81,13 +73,12 @@ impl Metrics {
                 }
             }
             Outcome::Server => self.server_requests += 1,
-            Outcome::Push => self.push_hits += 1,
         }
     }
 
     /// Completed requests in the recorded window.
     pub fn completed(&self) -> u64 {
-        self.local_hits + self.global_hits + self.server_requests + self.push_hits
+        self.local_hits + self.global_hits + self.server_requests
     }
 
     /// Condenses the counters into the report the figures print.
@@ -100,7 +91,7 @@ impl Metrics {
             local_hit_ratio_pct: self.local_hits as f64 / total * 100.0,
             global_hit_ratio_pct: self.global_hits as f64 / total * 100.0,
             server_request_ratio_pct: self.server_requests as f64 / total * 100.0,
-            push_hit_ratio_pct: self.push_hits as f64 / total * 100.0,
+            push_hit_ratio_pct: 0.0,
             tcg_share_of_global_pct: if self.global_hits == 0 {
                 0.0
             } else {
@@ -137,8 +128,10 @@ pub struct Report {
     pub global_hit_ratio_pct: f64,
     /// Server request ratio, percent (Figures 2b/3b/4b/8b).
     pub server_request_ratio_pct: f64,
-    /// Push broadcast hit ratio, percent (hybrid extension; zero under
-    /// pull-only delivery).
+    /// Always 0.0: the simulator delivers by pull only. The field is
+    /// kept because the benchmark's pinned report digests and the sweep
+    /// journal's 16-word cell record include it; it goes with the next
+    /// change to the benchmark.
     pub push_hit_ratio_pct: f64,
     /// Share of global hits served inside the requester's TCG, percent.
     pub tcg_share_of_global_pct: f64,
@@ -174,10 +167,7 @@ mod tests {
         m.record_completion(Outcome::Server, SimTime::from_millis(50), false);
         let r = m.report();
         assert_eq!(m.completed(), 4);
-        let sum = r.local_hit_ratio_pct
-            + r.global_hit_ratio_pct
-            + r.server_request_ratio_pct
-            + r.push_hit_ratio_pct;
+        let sum = r.local_hit_ratio_pct + r.global_hit_ratio_pct + r.server_request_ratio_pct;
         assert!((sum - 100.0).abs() < 1e-9);
         assert_eq!(r.tcg_share_of_global_pct, 50.0);
         assert_eq!(r.completed, 4);

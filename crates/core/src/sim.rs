@@ -9,13 +9,13 @@
 use std::rc::Rc;
 
 use grococa_mobility::{FieldConfig, MobilityField};
-use grococa_net::{Ndp, NdpConfig, P2pChannel, PushSchedule, ServerChannel};
+use grococa_net::{Ndp, NdpConfig, P2pChannel, ServerChannel};
 use grococa_power::{BroadcastRole, P2pRole};
 use grococa_signature::{compression_choice, data_positions, BloomFilter, CompressedSignature};
 use grococa_sim::{transmission_time, Scheduler, SimRng, SimTime};
 use grococa_workload::{AccessPattern, ItemId, ServerDb};
 
-use crate::config::{DataDelivery, Scheme, SimConfig};
+use crate::config::{Scheme, SimConfig};
 use crate::error::SimError;
 use crate::fault::{AuditReport, ConfigError, FaultStats};
 use crate::host::{Host, Pending, Phase};
@@ -124,18 +124,6 @@ pub(crate) enum Ev {
     /// Periodic NDP beacon power-accounting tick (only when
     /// `account_beacons` is enabled).
     BeaconTick,
-    /// A delegated singlet item arrives at a low-activity TCG member
-    /// (cache-delegation extension).
-    Delegated {
-        to: usize,
-        item: ItemId,
-        expiry: SimTime,
-    },
-    /// The MSS recomputes the push broadcast program (hybrid delivery).
-    RefreshPushSchedule,
-    /// The push channel finishes broadcasting the item a host tuned in
-    /// for.
-    PushArrive { mh: usize, gen: u64 },
 }
 
 /// The complete result of one simulation run.
@@ -296,9 +284,6 @@ pub struct Simulation {
     pub(crate) db: ServerDb,
     pub(crate) dir: Option<TcgDirectory>,
     pub(crate) hosts: Vec<Host>,
-    pub(crate) push: PushSchedule,
-    pub(crate) popularity: Vec<u64>,
-    pub(crate) low_activity: Vec<bool>,
     pub(crate) ndp: Option<Ndp>,
     pub(crate) active: Vec<bool>,
     pub(crate) host_rngs: Vec<SimRng>,
@@ -404,24 +389,6 @@ impl Simulation {
             db: ServerDb::new(cfg.n_data, cfg.alpha),
             dir,
             hosts,
-            push: PushSchedule::default(),
-            popularity: vec![0; cfg.n_data as usize],
-            low_activity: {
-                // A deterministic sample of ⌊n·f⌋ hosts, spread across
-                // motion groups by a seeded shuffle.
-                let mut mask = vec![false; n];
-                let count = (n as f64 * cfg.low_activity_fraction).floor() as usize;
-                let mut order: Vec<usize> = (0..n).collect();
-                let mut rng = SimRng::substream(cfg.seed, 3);
-                for i in (1..order.len()).rev() {
-                    let j = rng.uniform_usize(i + 1);
-                    order.swap(i, j);
-                }
-                for &i in order.iter().take(count) {
-                    mask[i] = true;
-                }
-                mask
-            },
             ndp: cfg.ndp_tables.then(|| {
                 let ndp_cfg = NdpConfig {
                     miss_threshold: cfg.ndp_miss_threshold,
@@ -645,12 +612,11 @@ impl Simulation {
 
     fn bootstrap(&mut self, sched: &mut Scheduler<Ev>) -> Result<(), SimError> {
         for mh in 0..self.hosts.len() {
-            let mean = self.mean_think(mh);
             let rng = self.host_rngs.get_mut(mh).ok_or(SimError::HostIndex {
                 mh,
                 context: "bootstrap think draw",
             })?;
-            let think = rng.exponential(mean);
+            let think = rng.exponential(self.cfg.mean_interarrival_secs);
             sched.schedule_at(SimTime::from_secs_f64(think), Ev::NextRequest { mh });
             if self.cfg.scheme == Scheme::GroCoca {
                 sched.schedule_at(
@@ -675,12 +641,6 @@ impl Simulation {
             sched.schedule_at(
                 SimTime::from_secs_f64(self.cfg.beacon_period_secs),
                 Ev::BeaconTick,
-            );
-        }
-        if let DataDelivery::Hybrid { refresh_secs, .. } = self.cfg.delivery {
-            sched.schedule_at(
-                SimTime::from_secs_f64(refresh_secs),
-                Ev::RefreshPushSchedule,
             );
         }
         Ok(())
@@ -752,11 +712,6 @@ impl Simulation {
             Ev::AgeIntervals => self.on_age_intervals(sched),
             Ev::WarmupCap => self.begin_recording(sched.now()),
             Ev::BeaconTick => self.on_beacon_tick(sched),
-            Ev::Delegated { to, item, expiry } => {
-                self.on_delegated(sched.now(), to, item, expiry)?
-            }
-            Ev::RefreshPushSchedule => self.on_refresh_push(sched),
-            Ev::PushArrive { mh, gen } => self.on_push_arrive(sched, mh, gen)?,
         }
         Ok(())
     }
@@ -1016,8 +971,7 @@ impl Simulation {
                 | Ev::ServerData { mh, gen, .. }
                 | Ev::ValidationRequest { mh, gen }
                 | Ev::ValidationOk { mh, gen, .. }
-                | Ev::ServerRetry { mh, gen }
-                | Ev::PushArrive { mh, gen } => Some((mh, gen)),
+                | Ev::ServerRetry { mh, gen } => Some((mh, gen)),
                 Ev::NextRequest { mh } => {
                     if let Some(w) = wakes.get_mut(mh) {
                         *w = true;
@@ -1125,16 +1079,9 @@ impl Simulation {
             return Ok(());
         }
 
-        // 2. Local miss: under hybrid delivery, tune in to the broadcast
-        // channel when the item airs soon enough (costs nothing on the
-        // metered P2P NIC).
-        if self.try_tune_in(sched, mh, gen, item)? {
-            return Ok(());
-        }
-
-        // 3. Peer search or straight to the MSS. A host in solo mode
-        // (graceful degradation after repeated silent searches) skips
-        // the hopeless search and pays the server price directly,
+        // 2. Local miss: peer search or straight to the MSS. A host in
+        // solo mode (graceful degradation after repeated silent searches)
+        // skips the hopeless search and pays the server price directly,
         // probing the peers again once the solo budget runs out.
         if self.cfg.scheme.is_cooperative() && self.should_search_peers(mh, item) {
             if self.faults_active && self.hosts[mh].solo_requests_left > 0 {
@@ -1148,95 +1095,6 @@ impl Simulation {
             self.enter_server_phase(sched, mh, gen)?;
         }
         Ok(())
-    }
-
-    /// Hybrid delivery: if `item` is on the broadcast program and its next
-    /// slot completes within the configured patience, wait for it.
-    fn try_tune_in(
-        &mut self,
-        sched: &mut Scheduler<Ev>,
-        mh: usize,
-        gen: u64,
-        item: ItemId,
-    ) -> Result<bool, SimError> {
-        let DataDelivery::Hybrid { max_wait_secs, .. } = self.cfg.delivery else {
-            return Ok(false);
-        };
-        let now = sched.now();
-        let Some(delivery) = self.push.next_delivery(item.as_u64(), now) else {
-            return Ok(false);
-        };
-        if delivery.saturating_sub(now) > SimTime::from_secs_f64(max_wait_secs) {
-            return Ok(false);
-        }
-        let p = self.hosts[mh]
-            .pending
-            .as_mut()
-            .ok_or(SimError::MissingPending {
-                mh,
-                context: "tune-in on a request just created",
-            })?;
-        p.phase = Phase::Tuning;
-        sched.schedule_at(delivery, Ev::PushArrive { mh, gen });
-        Ok(true)
-    }
-
-    fn on_push_arrive(
-        &mut self,
-        sched: &mut Scheduler<Ev>,
-        mh: usize,
-        gen: u64,
-    ) -> Result<(), SimError> {
-        if !self.hosts[mh].pending_matches(gen, Phase::Tuning) {
-            return Ok(());
-        }
-        let now = sched.now();
-        let item = self.hosts[mh]
-            .pending
-            .as_ref()
-            .ok_or(SimError::MissingPending {
-                mh,
-                context: "push arrival",
-            })?
-            .item;
-        // The broadcast copy is fresh from the server.
-        let expiry = self.db.expiry_for(item, now);
-        self.admit_item(sched, mh, item, expiry, None)?;
-        self.hosts[mh].cache.set_expiry(item, expiry, now);
-        self.trace(now, mh, TraceKind::PushDelivered);
-        self.complete(sched, mh, Outcome::Push, false)
-    }
-
-    /// The MSS recomputes the broadcast program: the `push_slots` hottest
-    /// items by observed popularity, each in one transmission-time slot.
-    fn on_refresh_push(&mut self, sched: &mut Scheduler<Ev>) {
-        let DataDelivery::Hybrid {
-            push_slots,
-            push_kbps,
-            refresh_secs,
-            ..
-        } = self.cfg.delivery
-        else {
-            return;
-        };
-        sched.schedule_after(
-            SimTime::from_secs_f64(refresh_secs),
-            Ev::RefreshPushSchedule,
-        );
-        let mut ranked: Vec<u64> = (0..self.popularity.len() as u64).collect();
-        ranked.sort_by_key(|&i| {
-            std::cmp::Reverse((self.popularity[i as usize], std::cmp::Reverse(i)))
-        });
-        let hot: Vec<u64> = ranked
-            .into_iter()
-            .take(push_slots)
-            .filter(|&i| self.popularity[i as usize] > 0)
-            .collect();
-        if hot.is_empty() {
-            return;
-        }
-        let slot = transmission_time(self.cfg.msg.data_message(), push_kbps);
-        self.push = PushSchedule::new(hot, slot);
     }
 
     /// GroCoca's filtering mechanism: test the search signature against the
@@ -1687,7 +1545,6 @@ impl Simulation {
                 context: "server request arrival",
             })?
             .item;
-        self.popularity[item.index()] += 1;
         let changes = self.mss_observe(mh, Some(item), now);
         let expiry = self.db.expiry_for(item, now);
         let bytes =
@@ -1763,7 +1620,6 @@ impl Simulation {
                 })?;
             (p.item, p.validating_t_r)
         };
-        self.popularity[item.index()] += 1;
         let changes = Rc::new(self.mss_observe(mh, Some(item), now));
         let expiry = self.db.expiry_for(item, now);
         if self.db.modified_since(item, t_r) {
@@ -1869,9 +1725,6 @@ impl Simulation {
                     .victim_key()
                     .ok_or(SimError::NoVictim { mh })?
             };
-            if grococa && self.cfg.delegate_singlets {
-                self.maybe_delegate(sched, mh, victim);
-            }
             let host = self.host_mut(mh, "admission evict")?;
             host.cache.insert_evicting(item, now, expiry, victim);
             if grococa {
@@ -1934,130 +1787,9 @@ impl Simulation {
         Ok(least)
     }
 
-    /// Cache-delegation extension: if the eviction victim is a *singlet*
-    /// (no replica in the TCG) still TTL-valid, ship it to a connected
-    /// low-activity TCG member in range, preserving it in the group's
-    /// aggregate cache. Charged as a normal point-to-point data transfer.
-    fn maybe_delegate(&mut self, sched: &mut Scheduler<Ev>, mh: usize, victim: ItemId) {
-        let now = sched.now();
-        let host = &self.hosts[mh];
-        let Some(entry) = host.cache.peek(victim) else {
-            return;
-        };
-        if !entry.is_valid(now) {
-            return;
-        }
-        let positions = data_positions(victim.as_u64(), self.cfg.sigma, self.cfg.bloom_k);
-        if host.peer_vector.covers(&positions) {
-            return; // replicated: the group keeps it anyway
-        }
-        let expiry = entry.expires_at;
-        let candidates: Vec<usize> = host
-            .tcg
-            .iter()
-            .copied()
-            .filter(|&p| self.low_activity[p] && self.hosts[p].connected)
-            .collect();
-        if candidates.is_empty() {
-            return;
-        }
-        // Closest eligible member (deterministic tie-break by index).
-        let mut best: Option<(usize, f64)> = None;
-        for p in candidates {
-            let d = self.field.distance_at(mh, p, now);
-            if d <= self.cfg.tran_range && best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((p, d));
-            }
-        }
-        let Some((target, _)) = best else { return };
-        let bytes = self.cfg.msg.data_message();
-        if self.warm {
-            self.metrics.delegations += 1;
-        }
-        // Under an active fault plan the handoff is retransmitted
-        // `delegation_copies` times back-to-back: a delegated singlet is
-        // the group's last replica, so a single lost frame would silently
-        // erase it from the aggregate cache.
-        let copies = if self.faults_active {
-            self.cfg.retry.delegation_copies
-        } else {
-            1
-        };
-        for c in 0..copies {
-            let done = self.p2p.send(mh, now, bytes);
-            self.charge_p2p(mh, target, bytes, now);
-            if c > 0 {
-                self.fstats.delegation_retransmits += 1;
-            }
-            if self.fault_lost() {
-                continue;
-            }
-            // The event carries the payload; the receiver decides to keep it.
-            sched.schedule_at(
-                done,
-                Ev::Delegated {
-                    to: target,
-                    item: victim,
-                    expiry,
-                },
-            );
-        }
-    }
-
-    fn on_delegated(
-        &mut self,
-        now: SimTime,
-        to: usize,
-        item: ItemId,
-        expiry: SimTime,
-    ) -> Result<(), SimError> {
-        if self.fault_corrupted() {
-            return Ok(());
-        }
-        let host = &mut self.hosts[to];
-        if !host.connected || host.cache.contains(item) {
-            return Ok(());
-        }
-        if host.cache.is_full() {
-            // Accept only by displacing something idle for longer.
-            let victim = host
-                .cache
-                .victim_key()
-                .ok_or(SimError::NoVictim { mh: to })?;
-            let victim_age = host
-                .cache
-                .peek(victim)
-                .ok_or(SimError::MissingCacheEntry {
-                    mh: to,
-                    context: "victim just chosen",
-                })?
-                .last_access;
-            // A delegated singlet was just active at its donor; prefer it
-            // over anything older than it.
-            if victim_age >= now {
-                return Ok(());
-            }
-            host.cache.insert_evicting(item, now, expiry, victim);
-            host.note_evict(victim);
-        } else {
-            host.cache.insert(item, now, expiry);
-        }
-        host.note_insert(item);
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Completion, disconnection
     // ------------------------------------------------------------------
-
-    /// The host's mean think time, honouring the low-activity class.
-    fn mean_think(&self, mh: usize) -> f64 {
-        if self.low_activity[mh] {
-            self.cfg.mean_interarrival_secs * self.cfg.low_activity_slowdown
-        } else {
-            self.cfg.mean_interarrival_secs
-        }
-    }
 
     fn complete(
         &mut self,
@@ -2090,8 +1822,7 @@ impl Simulation {
             let dur = self.host_rngs[mh].uniform_f64(self.cfg.disc_time.0, self.cfg.disc_time.1);
             sched.schedule_after(SimTime::from_secs_f64(dur), Ev::Reconnect { mh });
         } else {
-            let mean = self.mean_think(mh);
-            let think = self.host_rngs[mh].exponential(mean);
+            let think = self.host_rngs[mh].exponential(self.cfg.mean_interarrival_secs);
             sched.schedule_after(SimTime::from_secs_f64(think), Ev::NextRequest { mh });
         }
         Ok(())
@@ -2124,8 +1855,7 @@ impl Simulation {
             }
             self.nbr_a = in_range;
         }
-        let mean = self.mean_think(mh);
-        let think = self.host_rngs[mh].exponential(mean);
+        let think = self.host_rngs[mh].exponential(self.cfg.mean_interarrival_secs);
         sched.schedule_after(SimTime::from_secs_f64(think), Ev::NextRequest { mh });
     }
 

@@ -8,15 +8,15 @@
 //! # What is (and is not) in a snapshot
 //!
 //! The snapshot holds only *history-dependent* state. Everything
-//! derivable from the configuration alone — the access pattern, the
-//! low-activity mask, channel geometry, directory thresholds, the
-//! completion target — is rebuilt deterministically by
-//! [`Simulation::new`] on restore and verified against the recorded
-//! [`SimConfig::canonical_fingerprint`]. Mobility movers are *warped*:
-//! each model advances in pure monotone catch-up steps from
-//! construction-seeded owned RNGs, so replaying the movers forward to
-//! the snapshot instant consumes exactly the random draws the original
-//! run consumed, and every later query agrees bit-for-bit.
+//! derivable from the configuration alone — the access pattern,
+//! channel geometry, directory thresholds, the completion target — is
+//! rebuilt deterministically by [`Simulation::new`] on restore and
+//! verified against the recorded [`SimConfig::canonical_fingerprint`].
+//! Mobility movers are *warped*: each model advances in pure monotone
+//! catch-up steps from construction-seeded owned RNGs, so replaying the
+//! movers forward to the snapshot instant consumes exactly the random
+//! draws the original run consumed, and every later query agrees
+//! bit-for-bit.
 //!
 //! Three deliberate omissions: the optional [`Tracer`](crate::trace::Tracer)
 //! is observational (it never feeds back into the run) and restores as
@@ -54,8 +54,10 @@ use crate::tcg::MembershipChange;
 /// `b"GCKP"` as a little-endian word.
 const MAGIC: u32 = u32::from_le_bytes(*b"GCKP");
 /// Bumped on any wire-format change; old snapshots are refused, never
-/// misread. Version 2 stores signature counters sparsely.
-const VERSION: u32 = 2;
+/// misread. Version 2 stores signature counters sparsely; version 3
+/// drops the push schedule, the popularity vector and three extension
+/// counters.
+const VERSION: u32 = 3;
 /// Bytes before the body: magic, version, checksum, fingerprint.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
@@ -449,7 +451,6 @@ fn put_phase(w: &mut Writer, p: Phase) {
         Phase::Retrieving => 1,
         Phase::Server => 2,
         Phase::Validating => 3,
-        Phase::Tuning => 4,
     });
 }
 
@@ -459,7 +460,6 @@ fn get_phase(r: &mut Reader<'_>) -> Result<Phase, SnapshotError> {
         1 => Phase::Retrieving,
         2 => Phase::Server,
         3 => Phase::Validating,
-        4 => Phase::Tuning,
         _ => return Err(SnapshotError::Malformed("bad phase tag")),
     })
 }
@@ -515,7 +515,7 @@ fn get_rng(r: &mut Reader<'_>) -> Result<SimRng, SnapshotError> {
 }
 
 // ----------------------------------------------------------------------
-// Event codec (all 27 variants, declared order)
+// Event codec (all 24 variants, declared order)
 // ----------------------------------------------------------------------
 
 fn put_ev(w: &mut Writer, ev: &Ev) {
@@ -684,18 +684,6 @@ fn put_ev(w: &mut Writer, ev: &Ev) {
         Ev::AgeIntervals => w.u8(21),
         Ev::WarmupCap => w.u8(22),
         Ev::BeaconTick => w.u8(23),
-        Ev::Delegated { to, item, expiry } => {
-            w.u8(24);
-            w.usize(*to);
-            w.u64(item.as_u64());
-            w.time(*expiry);
-        }
-        Ev::RefreshPushSchedule => w.u8(25),
-        Ev::PushArrive { mh, gen } => {
-            w.u8(26);
-            w.usize(*mh);
-            w.u64(*gen);
-        }
     }
 }
 
@@ -829,16 +817,6 @@ fn get_ev(r: &mut Reader<'_>, sigma: u32, k: u32) -> Result<Ev, SnapshotError> {
         21 => Ev::AgeIntervals,
         22 => Ev::WarmupCap,
         23 => Ev::BeaconTick,
-        24 => Ev::Delegated {
-            to: r.usize()?,
-            item: ItemId::new(r.u64()?),
-            expiry: r.time()?,
-        },
-        25 => Ev::RefreshPushSchedule,
-        26 => Ev::PushArrive {
-            mh: r.usize()?,
-            gen: r.u64()?,
-        },
         _ => return Err(SnapshotError::Malformed("bad event tag")),
     })
 }
@@ -1014,16 +992,7 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
         w.u32(h.solo_requests_left);
     }
 
-    // --- push schedule, popularity, NDP, activity ----------------------
-    w.usize(sim.push.items().len());
-    for &item in sim.push.items() {
-        w.u64(item);
-    }
-    w.time(sim.push.slot_time());
-    w.usize(sim.popularity.len());
-    for &p in &sim.popularity {
-        w.u64(p);
-    }
+    // --- NDP, activity -------------------------------------------------
     match &sim.ndp {
         None => w.u8(0),
         Some(ndp) => {
@@ -1063,7 +1032,6 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
         f.search_retries,
         f.retrieve_retries,
         f.server_retries,
-        f.delegation_retransmits,
         f.solo_entries,
         f.solo_skips,
         f.solo_exits,
@@ -1079,7 +1047,6 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
         m.local_hits,
         m.global_hits,
         m.server_requests,
-        m.push_hits,
         m.global_hits_from_tcg,
         m.validations,
         m.validation_refreshes,
@@ -1091,7 +1058,6 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
         m.broadcasts,
         m.replicated_evictions,
         m.singlet_drops,
-        m.delegations,
     ] {
         w.u64(v);
     }
@@ -1365,24 +1331,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
         h.solo_requests_left = r.u32()?;
     }
 
-    // --- push schedule, popularity, NDP, activity ----------------------
-    let len = r.len(8)?;
-    let mut push_items = Vec::with_capacity(len);
-    for _ in 0..len {
-        push_items.push(r.u64()?);
-    }
-    let slot_time = r.time()?;
-    if !push_items.is_empty() && slot_time == SimTime::ZERO {
-        return Err(SnapshotError::Malformed("zero push slot"));
-    }
-    sim.push = grococa_net::PushSchedule::new(push_items, slot_time);
-    let len = r.len(8)?;
-    if len != sim.popularity.len() {
-        return Err(SnapshotError::Malformed("popularity length"));
-    }
-    for p in sim.popularity.iter_mut() {
-        *p = r.u64()?;
-    }
+    // --- NDP, activity -------------------------------------------------
     let has_ndp = r.bool()?;
     if has_ndp != sim.ndp.is_some() {
         return Err(SnapshotError::Malformed("NDP presence"));
@@ -1437,7 +1386,6 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
         &mut f.search_retries,
         &mut f.retrieve_retries,
         &mut f.server_retries,
-        &mut f.delegation_retransmits,
         &mut f.solo_entries,
         &mut f.solo_skips,
         &mut f.solo_exits,
@@ -1453,7 +1401,6 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
         &mut m.local_hits,
         &mut m.global_hits,
         &mut m.server_requests,
-        &mut m.push_hits,
         &mut m.global_hits_from_tcg,
         &mut m.validations,
         &mut m.validation_refreshes,
@@ -1465,7 +1412,6 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
         &mut m.broadcasts,
         &mut m.replicated_evictions,
         &mut m.singlet_drops,
-        &mut m.delegations,
     ] {
         *v = r.u64()?;
     }

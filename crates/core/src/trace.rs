@@ -45,8 +45,6 @@ pub enum TraceKind {
     ServerContacted,
     /// The request completed with a server-delivered copy.
     ServerDelivered,
-    /// The request completed from the push broadcast channel.
-    PushDelivered,
     /// The MSS announced that `peer` joined this host's TCG.
     TcgJoined {
         /// The new member.

@@ -58,28 +58,6 @@ fn departed_hosts_reconnect_and_resync() {
 }
 
 #[test]
-fn delegated_items_survive_holder_departures() {
-    // The delegation handoff (singlet eviction → low-activity member) and
-    // mid-transfer departures together: handoffs are retransmitted and
-    // the run still completes with a clean audit.
-    let mut cfg = small(Scheme::GroCoca);
-    cfg.low_activity_fraction = 0.4;
-    cfg.low_activity_slowdown = 10.0;
-    cfg.delegate_singlets = true;
-    cfg.faults.departure = 0.3;
-    cfg.faults.p2p_loss = 0.2;
-    let out = Simulation::new(cfg).run();
-    assert!(out.audit.is_clean(), "audit: {}", out.audit);
-    assert!(out.metrics.delegations > 0, "no delegations exercised");
-    assert!(out.fault_stats.departures > 0);
-    assert!(
-        out.fault_stats.delegation_retransmits > 0,
-        "handoffs were not retransmitted: {:?}",
-        out.fault_stats
-    );
-}
-
-#[test]
 fn lossy_links_drive_search_and_retrieve_retries() {
     let mut cfg = small(Scheme::Coca);
     cfg.faults = FaultPlan::profile("lossy").expect("named profile");

@@ -260,107 +260,6 @@ fn beacon_accounting_adds_power() {
 #[test]
 fn outcome_enum_is_exhaustive_in_reporting() {
     // Guard against adding an Outcome variant without wiring the report.
-    let outcomes = [
-        Outcome::Local,
-        Outcome::Global,
-        Outcome::Server,
-        Outcome::Push,
-    ];
-    assert_eq!(outcomes.len(), 4);
-}
-
-#[test]
-fn hybrid_delivery_serves_push_hits() {
-    use grococa_core::DataDelivery;
-    let mut cfg = small(Scheme::Coca);
-    cfg.delivery = DataDelivery::hybrid();
-    // Skewed accesses make the hot set broadcast-worthy.
-    cfg.theta = 0.8;
-    let hybrid = Simulation::new(cfg).run();
-    assert!(
-        hybrid.metrics.push_hits > 0,
-        "the broadcast channel never served anyone"
-    );
-    let r = &hybrid.report;
-    let sum = r.local_hit_ratio_pct
-        + r.global_hit_ratio_pct
-        + r.server_request_ratio_pct
-        + r.push_hit_ratio_pct;
-    assert!((sum - 100.0).abs() < 1e-9);
-    // The push channel must displace server traffic relative to pull-only.
-    let mut pull_cfg = small(Scheme::Coca);
-    pull_cfg.theta = 0.8;
-    let pull = Simulation::new(pull_cfg).run();
-    assert!(
-        r.server_request_ratio_pct < pull.report.server_request_ratio_pct,
-        "hybrid {:.1}% should undercut pull {:.1}%",
-        r.server_request_ratio_pct,
-        pull.report.server_request_ratio_pct
-    );
-    assert_eq!(pull.metrics.push_hits, 0, "pull-only must never push");
-}
-
-#[test]
-fn low_activity_delegation_preserves_singlets() {
-    // A heterogeneous population with delegation on vs off. The GCH claim
-    // is statistical, so it is averaged over seeds rather than pinned to a
-    // single draw.
-    let mut gch_on_sum = 0.0;
-    let mut gch_off_sum = 0.0;
-    for seed_index in 0..3u64 {
-        let mut base = small(Scheme::GroCoca);
-        base.seed = base.seed.wrapping_add(seed_index);
-        base.low_activity_fraction = 0.3;
-        base.low_activity_slowdown = 8.0;
-        base.requests_per_mh = 150;
-        let off = Simulation::new(base.clone()).run();
-
-        let mut delegating = base;
-        delegating.delegate_singlets = true;
-        let on = Simulation::new(delegating).run();
-
-        assert_eq!(off.metrics.delegations, 0);
-        assert!(on.metrics.delegations > 0, "delegation never fired");
-        gch_on_sum += on.report.global_hit_ratio_pct;
-        gch_off_sum += off.report.global_hit_ratio_pct;
-    }
-    // Preserving singlets in the group cache is roughly GCH-neutral at
-    // this scale (the delegates are slow to re-serve what they hold); the
-    // guard is against delegation *catastrophically* hurting the ratio.
-    assert!(
-        gch_on_sum >= gch_off_sum - 3.0 * 5.0,
-        "delegation collapsed GCH: mean {:.1}% vs {:.1}%",
-        gch_on_sum / 3.0,
-        gch_off_sum / 3.0
-    );
-}
-
-#[test]
-fn low_activity_hosts_request_less() {
-    use grococa_core::{TraceKind, Tracer};
-    let mut cfg = small(Scheme::Coca);
-    cfg.low_activity_fraction = 0.5;
-    cfg.low_activity_slowdown = 20.0;
-    cfg.requests_per_mh = 60;
-    let mut sim = Simulation::new(cfg);
-    sim.set_tracer(Tracer::unbounded());
-    let (_out, world) = sim.run_inspect();
-    let trace = world.tracer().expect("tracer attached");
-    let mut counts: Vec<usize> = (0..40)
-        .map(|mh| {
-            trace
-                .of_host(mh)
-                .filter(|r| matches!(r.kind, TraceKind::RequestIssued { .. }))
-                .count()
-        })
-        .collect();
-    counts.sort_unstable();
-    // With a 20x slowdown for half the population, the busiest host must
-    // dwarf the quietest.
-    assert!(
-        counts[39] > counts[0] * 4,
-        "activity classes indistinguishable: {:?}..{:?}",
-        counts[0],
-        counts[39]
-    );
+    let outcomes = [Outcome::Local, Outcome::Global, Outcome::Server];
+    assert_eq!(outcomes.len(), 3);
 }

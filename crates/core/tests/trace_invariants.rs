@@ -17,10 +17,7 @@ fn traced(scheme: Scheme, p_disc: f64) -> (grococa_core::RunOutput, Simulation) 
 fn is_terminal(kind: &TraceKind) -> bool {
     matches!(
         kind,
-        TraceKind::LocalHit
-            | TraceKind::GlobalHit { .. }
-            | TraceKind::ServerDelivered
-            | TraceKind::PushDelivered
+        TraceKind::LocalHit | TraceKind::GlobalHit { .. } | TraceKind::ServerDelivered
     )
 }
 
@@ -56,7 +53,7 @@ fn every_request_walks_a_legal_lifecycle() {
                     );
                     open = false;
                 }
-                TraceKind::LocalHit | TraceKind::ServerDelivered | TraceKind::PushDelivered => {
+                TraceKind::LocalHit | TraceKind::ServerDelivered => {
                     assert!(open, "mh{mh}: completion outside a request");
                     open = false;
                 }

@@ -39,10 +39,8 @@
 #![forbid(unsafe_code)]
 
 mod ndp;
-mod push;
 
 pub use ndp::{LinkEvent, Ndp, NdpConfig};
-pub use push::PushSchedule;
 
 use grococa_sim::{transmission_time, Facility, SimTime};
 

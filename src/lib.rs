@@ -60,9 +60,9 @@ pub use grococa_sim as sim;
 pub use grococa_workload as workload;
 
 pub use grococa_core::{
-    AuditReport, ConfigError, DataDelivery, FaultPlan, FaultStats, GroCocaToggles,
-    MembershipChange, Metrics, MotionModel, Outcome, ReplacementPolicy, Report, RetryPolicy,
-    Scheme, SimConfig, Simulation, TcgDirectory,
+    AuditReport, ConfigError, FaultPlan, FaultStats, GroCocaToggles, MembershipChange, Metrics,
+    MotionModel, Outcome, ReplacementPolicy, Report, RetryPolicy, Scheme, SimConfig, Simulation,
+    TcgDirectory,
 };
 pub use grococa_sim::SimTime;
 pub use grococa_workload::ItemId;

@@ -117,7 +117,6 @@ fn inert_plan_with_wild_retry_knobs_is_bit_identical() {
         max_backoff_secs: 1e6,
         solo_after_failures: 1,
         solo_probe_every: 2,
-        delegation_copies: 5,
         ndp_grace_rounds: 17,
     };
     let out = Simulation::new(hardened).run();

@@ -7,7 +7,7 @@
 //! at **every byte offset** — plus truncation at every length — is
 //! rejected with a typed error, never a panic.
 
-use grococa::core::{DataDelivery, FaultPlan, Scheme, SimConfig, Simulation};
+use grococa::core::{FaultPlan, MotionModel, ReplacementPolicy, Scheme, SimConfig, Simulation};
 use proptest::prelude::*;
 
 /// Checkpoint cadence for the fixed-world corruption tests: small
@@ -53,19 +53,28 @@ fn small_cfg(
     if bits & 1 != 0 {
         cfg.update_rate = 2.0;
     }
-    if bits & 2 != 0 {
-        cfg.delivery = DataDelivery::hybrid();
-    }
     if bits & 4 != 0 {
         cfg.ndp_tables = true;
     }
     if bits & 8 != 0 {
         cfg.p_disc = 0.05;
     }
-    if bits & 16 != 0 {
-        cfg.low_activity_fraction = 0.3;
-        cfg.delegate_singlets = true;
-    }
+    // Bits 2 and 16 pick the cache policy and bits 32 and 64 the mobility
+    // model, so checkpoint and resume also run under LFU/FIFO and under
+    // each mover's `warp_to` catch-up, not only under LRU and RPGM.
+    let policy = usize::from(bits & 2 != 0) | (usize::from(bits & 16 != 0) << 1);
+    cfg.cache_policy = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Lfu,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Lru,
+    ][policy];
+    cfg.motion_model = [
+        MotionModel::GroupWaypoint,
+        MotionModel::IndividualWaypoint,
+        MotionModel::GaussMarkov,
+        MotionModel::Manhattan,
+    ][usize::from((bits >> 5) & 3)];
     // Some fault/disconnection draws can stall progress almost
     // indefinitely; the simulator's own hang wall bounds every generated
     // run (and puts the deadline path itself under the properties).

@@ -1,13 +1,12 @@
 //! Property tests of the remaining substrates: mobility models stay in
 //! bounds under arbitrary parameters, the NDP link table matches a naive
-//! reference automaton, facilities obey the FIFO queueing law, and the
-//! push schedule's delivery times are consistent.
+//! reference automaton, and facilities obey the FIFO queueing law.
 
 use grococa::mobility::{
     FieldConfig, GaussMarkov, GaussMarkovParams, Manhattan, ManhattanParams, MobilityField,
     MotionModel, RandomWaypoint, WaypointParams,
 };
-use grococa::net::{LinkEvent, Ndp, NdpConfig, PushSchedule};
+use grococa::net::{LinkEvent, Ndp, NdpConfig};
 use grococa::sim::{transmission_time, Facility, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -167,26 +166,5 @@ proptest! {
         prop_assert!(t > SimTime::ZERO);
         prop_assert!(transmission_time(bytes + 1, kbps) >= t);
         prop_assert!(transmission_time(bytes, kbps + 1) <= t);
-    }
-
-    /// Push-schedule deliveries are after `now`, cyclic with the cycle
-    /// time, and only for scheduled items.
-    #[test]
-    fn push_schedule_delivery_laws(
-        items in proptest::collection::hash_set(0u64..50, 1..20),
-        slot_ms in 1u64..100,
-        now_ms in 0u64..10_000,
-    ) {
-        let items: Vec<u64> = items.into_iter().collect();
-        let sched = PushSchedule::new(items.clone(), SimTime::from_millis(slot_ms));
-        let now = SimTime::from_millis(now_ms);
-        for &key in &items {
-            let d = sched.next_delivery(key, now).expect("scheduled item");
-            prop_assert!(d > now);
-            prop_assert!(d.saturating_sub(now) <= sched.cycle_time() + SimTime::from_millis(slot_ms));
-            let d2 = sched.next_delivery(key, d).expect("cyclic");
-            prop_assert_eq!(d2.saturating_sub(d), sched.cycle_time());
-        }
-        prop_assert_eq!(sched.next_delivery(999, now), None);
     }
 }
