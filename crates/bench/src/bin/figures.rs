@@ -46,6 +46,8 @@ fn main() -> ExitCode {
         let t0 = std::time::Instant::now();
         grococa_bench::take_events();
         grococa_bench::ablations();
+        grococa_bench::policy_comparison();
+        grococa_bench::mobility_models();
         grococa_bench::threshold_sensitivity();
         let elapsed = t0.elapsed();
         let events = grococa_bench::take_events();

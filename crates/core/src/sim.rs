@@ -147,11 +147,13 @@ pub struct RunOutput {
     /// zero until a harness measures elapsed time around the run and
     /// threads it in via [`RunOutput::record_wall_time`].
     pub events_per_sec: f64,
-    /// Geometric queries served from the memoised per-instant position
-    /// snapshot (no recompute).
+    /// Geometric queries served without a full position pass: a range or
+    /// reach query answered from the spatial index built at this or an
+    /// earlier instant, or one host's position (from the last pass, or
+    /// computed point-wise).
     pub pos_cache_hits: u64,
-    /// Geometric queries that had to (re)build the position snapshot or
-    /// compute a position point-wise.
+    /// Geometric queries that paid a full O(n) position pass (and, for a
+    /// range or reach query, an index rebuild).
     pub pos_cache_misses: u64,
     /// High-water mark of the scheduler's pending-event queue.
     pub peak_heap_depth: usize,

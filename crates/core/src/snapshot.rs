@@ -56,8 +56,8 @@ const MAGIC: u32 = u32::from_le_bytes(*b"GCKP");
 /// Bumped on any wire-format change; old snapshots are refused, never
 /// misread. Version 2 stores signature counters sparsely; version 3
 /// drops the push schedule, the popularity vector and three extension
-/// counters.
-const VERSION: u32 = 3;
+/// counters; version 4 drops the mobility memo's probe key and count.
+const VERSION: u32 = 4;
 /// Bytes before the body: magic, version, checksum, fingerprint.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
@@ -178,6 +178,8 @@ impl Writer {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The run's host count: every host index read must be below it.
+    hosts: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -230,6 +232,16 @@ impl<'a> Reader<'a> {
     }
     fn usize(&mut self) -> Result<usize, SnapshotError> {
         usize::try_from(self.u64()?).map_err(|_| SnapshotError::Malformed("oversized count"))
+    }
+    /// A host index. A resumed run indexes per-host state with it, so one
+    /// naming no host is malformed rather than a later panic.
+    fn host(&mut self) -> Result<usize, SnapshotError> {
+        let i = self.usize()?;
+        if i < self.hosts {
+            Ok(i)
+        } else {
+            Err(SnapshotError::Malformed("host index out of range"))
+        }
     }
     /// A length prefix, validated against the bytes actually remaining
     /// (`elem_floor` = the minimum encoded size of one element) so a
@@ -284,13 +296,22 @@ fn put_usize_vec(w: &mut Writer, v: impl ExactSizeIterator<Item = usize>) {
     }
 }
 
-fn get_usize_set(r: &mut Reader<'_>) -> Result<BTreeSet<usize>, SnapshotError> {
+fn get_host_set(r: &mut Reader<'_>) -> Result<BTreeSet<usize>, SnapshotError> {
     let n = r.len(8)?;
     let mut s = BTreeSet::new();
     for _ in 0..n {
-        s.insert(r.usize()?);
+        s.insert(r.host()?);
     }
     Ok(s)
+}
+
+fn get_host_list(r: &mut Reader<'_>) -> Result<Rc<Vec<usize>>, SnapshotError> {
+    let n = r.len(8)?;
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        v.push(r.host()?);
+    }
+    Ok(Rc::new(v))
 }
 
 fn put_u32_set(w: &mut Writer, s: &BTreeSet<u32>) {
@@ -345,8 +366,8 @@ fn put_membership(w: &mut Writer, c: MembershipChange) {
 
 fn get_membership(r: &mut Reader<'_>) -> Result<MembershipChange, SnapshotError> {
     match r.u8()? {
-        0 => Ok(MembershipChange::Added(r.usize()?)),
-        1 => Ok(MembershipChange::Removed(r.usize()?)),
+        0 => Ok(MembershipChange::Added(r.host()?)),
+        1 => Ok(MembershipChange::Removed(r.host()?)),
         _ => Err(SnapshotError::Malformed("bad membership tag")),
     }
 }
@@ -495,7 +516,7 @@ fn get_pending(r: &mut Reader<'_>) -> Result<Pending, SnapshotError> {
         timeout: r.opt_event_id()?,
         target: match r.u8()? {
             0 => None,
-            1 => Some(r.usize()?),
+            1 => Some(r.host()?),
             _ => return Err(SnapshotError::Malformed("bad option tag")),
         },
         validating_t_r: r.time()?,
@@ -512,6 +533,66 @@ fn put_rng(w: &mut Writer, rng: &SimRng) {
 
 fn get_rng(r: &mut Reader<'_>) -> Result<SimRng, SnapshotError> {
     Ok(SimRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]))
+}
+
+/// The mobility field's memo: the last full position pass, the
+/// position-cache counters and the spatial-index key.
+fn put_memo(w: &mut Writer, memo: &FieldMemo) {
+    w.opt_time(memo.cache_t);
+    w.usize(memo.cache.len());
+    for p in &memo.cache {
+        w.f64(p.x);
+        w.f64(p.y);
+    }
+    w.u64(memo.cache_hits);
+    w.u64(memo.cache_misses);
+    match memo.grid_key {
+        None => w.u8(0),
+        Some((t, bits)) => {
+            w.u8(1);
+            w.time(t);
+            w.u64(bits);
+        }
+    }
+}
+
+/// Reads a memo for `n` hosts checkpointed at `now`. Its instants must be
+/// ones the run has reached (a later one would make the resumed field's
+/// `t − t₀` underflow), and the index, built from the position pass,
+/// must share the pass's instant.
+fn get_memo(r: &mut Reader<'_>, n: usize, now: SimTime) -> Result<FieldMemo, SnapshotError> {
+    let cache_t = r.opt_time()?;
+    let n_cache = r.len(16)?;
+    if n_cache != n {
+        return Err(SnapshotError::Malformed("position cache length"));
+    }
+    let mut cache = Vec::with_capacity(n_cache);
+    for _ in 0..n_cache {
+        cache.push(Vec2 {
+            x: r.f64()?,
+            y: r.f64()?,
+        });
+    }
+    let cache_hits = r.u64()?;
+    let cache_misses = r.u64()?;
+    let grid_key = match r.u8()? {
+        0 => None,
+        1 => Some((r.time()?, r.u64()?)),
+        _ => return Err(SnapshotError::Malformed("bad option tag")),
+    };
+    if cache_t.is_some_and(|t| t > now) {
+        return Err(SnapshotError::Malformed("position cache instant"));
+    }
+    if grid_key.is_some_and(|(t, _)| Some(t) != cache_t) {
+        return Err(SnapshotError::Malformed("grid instant"));
+    }
+    Ok(FieldMemo {
+        cache_t,
+        cache,
+        cache_hits,
+        cache_misses,
+        grid_key,
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -690,11 +771,11 @@ fn put_ev(w: &mut Writer, ev: &Ev) {
 /// Reads one event; (`sigma`, `k`) is the run's signature geometry.
 fn get_ev(r: &mut Reader<'_>, sigma: u32, k: u32) -> Result<Ev, SnapshotError> {
     Ok(match r.u8()? {
-        0 => Ev::NextRequest { mh: r.usize()? },
+        0 => Ev::NextRequest { mh: r.host()? },
         1 => Ev::PeerRequest {
-            requester: r.usize()?,
+            requester: r.host()?,
             gen: r.u64()?,
-            peer: r.usize()?,
+            peer: r.host()?,
             item: ItemId::new(r.u64()?),
             updates: match r.u8()? {
                 0 => None,
@@ -715,91 +796,77 @@ fn get_ev(r: &mut Reader<'_>, sigma: u32, k: u32) -> Result<Ev, SnapshotError> {
             },
         },
         2 => Ev::Reply {
-            requester: r.usize()?,
+            requester: r.host()?,
             gen: r.u64()?,
-            from: r.usize()?,
+            from: r.host()?,
         },
         3 => Ev::Retrieve {
-            requester: r.usize()?,
+            requester: r.host()?,
             gen: r.u64()?,
         },
         4 => Ev::PeerData {
-            requester: r.usize()?,
+            requester: r.host()?,
             gen: r.u64()?,
-            from: r.usize()?,
+            from: r.host()?,
             expiry: r.time()?,
         },
         5 => Ev::SearchTimeout {
-            requester: r.usize()?,
+            requester: r.host()?,
             gen: r.u64()?,
         },
         6 => Ev::RetrieveTimeout {
-            requester: r.usize()?,
+            requester: r.host()?,
             gen: r.u64()?,
         },
         7 => Ev::ServerRetry {
-            mh: r.usize()?,
+            mh: r.host()?,
             gen: r.u64()?,
         },
         8 => Ev::ServerRequest {
-            mh: r.usize()?,
+            mh: r.host()?,
             gen: r.u64()?,
         },
         9 => Ev::ServerData {
-            mh: r.usize()?,
+            mh: r.host()?,
             gen: r.u64()?,
             expiry: r.time()?,
             t_r: r.time()?,
             changes: Rc::new(get_membership_list(r)?),
         },
         10 => Ev::ValidationRequest {
-            mh: r.usize()?,
+            mh: r.host()?,
             gen: r.u64()?,
         },
         11 => Ev::ValidationOk {
-            mh: r.usize()?,
+            mh: r.host()?,
             gen: r.u64()?,
             expiry: r.time()?,
             t_r: r.time()?,
             changes: Rc::new(get_membership_list(r)?),
         },
         12 => Ev::SigRequest {
-            from: r.usize()?,
-            to: r.usize()?,
+            from: r.host()?,
+            to: r.host()?,
             members: match r.u8()? {
                 0 => None,
-                1 => {
-                    let n = r.len(8)?;
-                    let mut m = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        m.push(r.usize()?);
-                    }
-                    Some(Rc::new(m))
-                }
+                1 => Some(get_host_list(r)?),
                 _ => return Err(SnapshotError::Malformed("bad option tag")),
             },
         },
         13 => Ev::SigReply {
-            from: r.usize()?,
-            to: r.usize()?,
+            from: r.host()?,
+            to: r.host()?,
             sig: Rc::new(get_bloom(r, sigma, k)?),
         },
-        14 => Ev::Reconnect { mh: r.usize()? },
-        15 => Ev::ReconnectSync { mh: r.usize()? },
+        14 => Ev::Reconnect { mh: r.host()? },
+        15 => Ev::ReconnectSync { mh: r.host()? },
         16 => Ev::ReconnectSyncDone {
-            mh: r.usize()?,
-            members: {
-                let n = r.len(8)?;
-                let mut m = Vec::with_capacity(n);
-                for _ in 0..n {
-                    m.push(r.usize()?);
-                }
-                Rc::new(m)
-            },
+            mh: r.host()?,
+            members: get_host_list(r)?,
         },
-        17 => Ev::ExplicitUpdate { mh: r.usize()? },
+        17 => Ev::ExplicitUpdate { mh: r.host()? },
         18 => Ev::ExplicitUpdateAtMss {
-            mh: r.usize()?,
+            mh: r.host()?,
             sample: {
                 let n = r.len(8)?;
                 let mut s = Vec::with_capacity(n);
@@ -810,7 +877,7 @@ fn get_ev(r: &mut Reader<'_>, sigma: u32, k: u32) -> Result<Ev, SnapshotError> {
             },
         },
         19 => Ev::MembershipNews {
-            mh: r.usize()?,
+            mh: r.host()?,
             changes: Rc::new(get_membership_list(r)?),
         },
         20 => Ev::DbUpdate,
@@ -854,26 +921,7 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
     }
 
     // --- mobility memo -------------------------------------------------
-    let memo = sim.field.export_memo();
-    w.opt_time(memo.cache_t);
-    w.usize(memo.cache.len());
-    for p in &memo.cache {
-        w.f64(p.x);
-        w.f64(p.y);
-    }
-    w.u64(memo.cache_hits);
-    w.u64(memo.cache_misses);
-    for key in [memo.grid_key, memo.probe_key] {
-        match key {
-            None => w.u8(0),
-            Some((t, bits)) => {
-                w.u8(1);
-                w.time(t);
-                w.u64(bits);
-            }
-        }
-    }
-    w.u8(memo.probe_scans);
+    put_memo(&mut w, &sim.field.export_memo());
 
     // --- channels ------------------------------------------------------
     let radios = sim.p2p.export_state();
@@ -1095,7 +1143,11 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     if bytes.len() < HEADER_LEN {
         return Err(SnapshotError::TooShort);
     }
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Reader {
+        buf: bytes,
+        pos: 0,
+        hosts: 0,
+    };
     let magic = r.u32()?;
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic(magic));
@@ -1116,6 +1168,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
 
     let mut sim = Simulation::new(cfg);
     let n = sim.hosts.len();
+    r.hosts = n;
 
     // --- scheduler -----------------------------------------------------
     let now = r.time()?;
@@ -1144,39 +1197,9 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     });
 
     // --- mobility: warp forward, then overlay the memo exactly ---------
-    let cache_t = r.opt_time()?;
-    let n_cache = r.len(16)?;
-    if n_cache != n {
-        return Err(SnapshotError::Malformed("position cache length"));
-    }
-    let mut cache = Vec::with_capacity(n_cache);
-    for _ in 0..n_cache {
-        cache.push(Vec2 {
-            x: r.f64()?,
-            y: r.f64()?,
-        });
-    }
-    let cache_hits = r.u64()?;
-    let cache_misses = r.u64()?;
-    let mut keys = [None, None];
-    for key in &mut keys {
-        *key = match r.u8()? {
-            0 => None,
-            1 => Some((r.time()?, r.u64()?)),
-            _ => return Err(SnapshotError::Malformed("bad option tag")),
-        };
-    }
-    let probe_scans = r.u8()?;
+    let memo = get_memo(&mut r, n, now)?;
     sim.field.warp_to(now);
-    sim.field.restore_memo(FieldMemo {
-        cache_t,
-        cache,
-        cache_hits,
-        cache_misses,
-        grid_key: keys[0],
-        probe_key: keys[1],
-        probe_scans,
-    });
+    sim.field.restore_memo(memo);
 
     // --- channels ------------------------------------------------------
     let n_radios = r.len(32)?;
@@ -1270,7 +1293,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
             return Err(SnapshotError::Malformed("member list count"));
         }
         for m in dir.members.iter_mut() {
-            *m = get_usize_set(&mut r)?;
+            *m = get_host_set(&mut r)?;
         }
         let len = r.len(8)?;
         if len != n {
@@ -1309,8 +1332,8 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
             .restore_counters(&get_sparse(&mut r, sigma, 2, Reader::u16)?);
         h.peer_vector
             .restore_counters(&get_sparse(&mut r, sigma, 4, Reader::u32)?);
-        h.tcg = get_usize_set(&mut r)?;
-        h.outstand_sig = get_usize_set(&mut r)?;
+        h.tcg = get_host_set(&mut r)?;
+        h.outstand_sig = get_host_set(&mut r)?;
         h.pending_insert = get_u32_set(&mut r)?;
         h.pending_evict = get_u32_set(&mut r)?;
         h.departed_since_recollect = r.u32()?;
@@ -1436,6 +1459,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Scheme;
 
     fn body(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
         let mut w = Writer { buf: Vec::new() };
@@ -1444,7 +1468,11 @@ mod tests {
     }
 
     fn reader(buf: &[u8]) -> Reader<'_> {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            hosts: 0,
+        }
     }
 
     fn sparse_u16(pairs: &[(u32, u16)]) -> Vec<u8> {
@@ -1530,5 +1558,137 @@ mod tests {
             get_sparse(&mut reader(&overlong), 128, 2, Reader::u16),
             Err(SnapshotError::Malformed("count exceeds body"))
         );
+    }
+
+    fn memo_at(cache_t: Option<SimTime>, grid_t: Option<SimTime>) -> FieldMemo {
+        FieldMemo {
+            cache_t,
+            cache: vec![Vec2::ZERO; 3],
+            cache_hits: 4,
+            cache_misses: 2,
+            grid_key: grid_t.map(|t| (t, 100f64.to_bits())),
+        }
+    }
+
+    #[test]
+    fn memo_round_trips() {
+        let now = SimTime::from_secs(9);
+        for memo in [
+            memo_at(None, None),
+            memo_at(Some(now), None),
+            memo_at(Some(SimTime::from_secs(7)), Some(SimTime::from_secs(7))),
+        ] {
+            let buf = body(|w| put_memo(w, &memo));
+            let mut r = reader(&buf);
+            assert_eq!(get_memo(&mut r, 3, now), Ok(memo));
+            assert_eq!(r.done(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn memo_instants_past_the_snapshot_are_malformed() {
+        let now = SimTime::from_secs(9);
+        let later = SimTime::from_micros(9_000_001);
+        let earlier = SimTime::from_secs(8);
+        let cases = [
+            (memo_at(Some(later), None), "position cache instant"),
+            (memo_at(Some(later), Some(later)), "position cache instant"),
+            (memo_at(Some(now), Some(later)), "grid instant"),
+            (memo_at(Some(now), Some(earlier)), "grid instant"),
+            (memo_at(None, Some(earlier)), "grid instant"),
+        ];
+        for (memo, why) in cases {
+            let buf = body(|w| put_memo(w, &memo));
+            assert_eq!(
+                get_memo(&mut reader(&buf), 3, now),
+                Err(SnapshotError::Malformed(why)),
+                "{memo:?}"
+            );
+        }
+    }
+
+    /// A real mid-run checkpoint of a 20-host GroCoca run, decoded.
+    fn checkpoint() -> (SimConfig, ResumedSimulation) {
+        let mut cfg = SimConfig::for_scheme(Scheme::GroCoca);
+        cfg.num_clients = 20;
+        cfg.requests_per_mh = 40;
+        cfg.n_data = 240;
+        cfg.access_range = 100;
+        cfg.cache_size = 20;
+        cfg.sigma = 128;
+        let mut last = Vec::new();
+        Simulation::new(cfg.clone())
+            .try_run_inspect_checkpointed(1_000, &mut |b| last = b.to_vec())
+            .expect("checkpointed run");
+        assert!(!last.is_empty(), "the run emitted no checkpoint");
+        let resumed = decode(cfg.clone(), &last).expect("checkpoint decodes");
+        (cfg, resumed)
+    }
+
+    /// Mutates a decoded checkpoint, re-encodes it (so the checksum is
+    /// valid again) and decodes the result, as a resume would.
+    fn resume_mutated(mutate: impl FnOnce(&mut ResumedSimulation)) -> Result<(), SnapshotError> {
+        let (cfg, mut resumed) = checkpoint();
+        mutate(&mut resumed);
+        let bytes = encode(&resumed.sim, &resumed.sched);
+        decode(cfg, &bytes).map(|_| ())
+    }
+
+    const BAD_HOST: Result<(), SnapshotError> =
+        Err(SnapshotError::Malformed("host index out of range"));
+
+    #[test]
+    fn unmutated_checkpoint_still_decodes() {
+        assert_eq!(resume_mutated(|_| {}), Ok(()));
+    }
+
+    #[test]
+    fn out_of_range_pending_change_is_malformed() {
+        let got = resume_mutated(|r| {
+            if let Some(dir) = r.sim.dir.as_mut() {
+                dir.pending[0].push(MembershipChange::Added(1_000_000));
+            }
+        });
+        assert_eq!(got, BAD_HOST);
+    }
+
+    #[test]
+    fn out_of_range_event_host_is_malformed() {
+        let got = resume_mutated(|r| {
+            let at = r.sched.now() + SimTime::from_secs(1);
+            r.sched.schedule_at(at, Ev::NextRequest { mh: 1_000_000 });
+        });
+        assert_eq!(got, BAD_HOST);
+        let got = resume_mutated(|r| {
+            let at = r.sched.now() + SimTime::from_secs(1);
+            let members = Some(Rc::new(vec![0, 20]));
+            r.sched.schedule_at(
+                at,
+                Ev::SigRequest {
+                    from: 1,
+                    to: 2,
+                    members,
+                },
+            );
+        });
+        assert_eq!(got, BAD_HOST);
+    }
+
+    #[test]
+    fn out_of_range_member_sets_are_malformed() {
+        let got = resume_mutated(|r| {
+            if let Some(dir) = r.sim.dir.as_mut() {
+                dir.members[3].insert(20);
+            }
+        });
+        assert_eq!(got, BAD_HOST);
+        let got = resume_mutated(|r| {
+            r.sim.hosts[5].tcg.insert(usize::MAX);
+        });
+        assert_eq!(got, BAD_HOST);
+        let got = resume_mutated(|r| {
+            r.sim.hosts[5].outstand_sig.insert(21);
+        });
+        assert_eq!(got, BAD_HOST);
     }
 }

@@ -4,19 +4,21 @@
 
 use grococa_sim::{SimRng, SimTime};
 
-/// Cold bool-mask neighbour queries served by a direct linear scan before
-/// an instant is considered query-dense enough to build the spatial
-/// index. Two covers the event-driven single- and pair-query patterns
-/// (one reconnection beacon; sender plus destination overhearing on one
-/// transfer) at exactly the brute-force cost, while a same-instant burst
-/// builds on its third query and serves the rest at O(k).
-#[cfg(not(feature = "oracle"))]
-const GRID_BUILD_AFTER: u8 = 2;
-
 use crate::{
     GaussMarkov, GaussMarkovParams, GroupParams, Manhattan, ManhattanParams, MotionGroup,
     RandomWaypoint, SpatialGrid, Vec2, WaypointParams,
 };
+
+/// How far, as a fraction of the query range, a host may have moved since
+/// the spatial index's snapshot before a query rebuilds the index instead
+/// of reusing it. A wider skin rebuilds less often but widens every
+/// query's candidate disc to `range + drift`. Interleaved perfbench runs
+/// (2-vCPU VM, default seed) found `fig2_sweep` (n = 100, where rebuilds
+/// dominate) flat within noise from 0.05 to 0.5, while the COCA cell of
+/// `fig7_n500` (n = 500, where candidates dominate) ran ~20% slower at
+/// 0.5 than at 0.1–0.25. A quarter sits in the middle of the flat range.
+#[cfg(not(feature = "oracle"))]
+const SKIN: f64 = 0.25;
 
 /// Packs a bool activity slice into the `u64` bitmask form consumed by
 /// [`MobilityField::neighbors_within_bits`] (bit `i` set ⇔ `active[i]`).
@@ -27,6 +29,11 @@ pub fn pack_active_bits(active: &[bool], out: &mut Vec<u64>) {
     for (i, &a) in active.iter().enumerate() {
         out[i >> 6] |= (a as u64) << (i & 63);
     }
+}
+
+/// Whether bit `i` of a packed mask is set (bits past its end are clear).
+fn bit(words: &[u64], i: usize) -> bool {
+    words.get(i >> 6).is_some_and(|w| w >> (i & 63) & 1 == 1)
 }
 
 /// Which mobility model drives the hosts.
@@ -130,35 +137,40 @@ pub struct MobilityField {
     groups: Vec<MotionGroup>,
     movers: Vec<Mover>,
     group_of: Vec<usize>,
+    /// No host moves faster than this, m/s: the motion model's bound.
+    #[cfg_attr(feature = "oracle", allow(dead_code))]
+    speed_bound: f64,
+    /// The last full position pass: every host's position at `cache_t`.
     cache_t: Option<SimTime>,
     cache: Vec<Vec2>,
     cache_hits: u64,
     cache_misses: u64,
-    /// Spatial index over `cache`, memoised per `(t, range)` exactly like
-    /// the position cache, so one broadcast (or one beacon round) builds
-    /// it once and every query after that is O(k). (Idle in `oracle`
-    /// builds, which route every query through the brute force.)
+    /// Exact positions computed one host at a time, each stamped with its
+    /// instant. A query at an instant the full pass does not cover reads
+    /// (and fills) these, so it never pays for hosts it does not touch.
+    point: Vec<(Option<SimTime>, Vec2)>,
+    /// Spatial index over `cache`, keyed `(cache_t, range)`. Queries at
+    /// later instants reuse it while no host can have left the skin (see
+    /// [`MobilityField::ready_grid`]). (Idle in `oracle` builds, which
+    /// route every query through the brute force.)
     #[cfg_attr(feature = "oracle", allow(dead_code))]
     grid: SpatialGrid,
-    #[cfg_attr(feature = "oracle", allow(dead_code))]
     grid_key: Option<(SimTime, u64)>,
+    /// The newest instant a grid query has asked about.
+    #[cfg_attr(feature = "oracle", allow(dead_code))]
+    latest: SimTime,
+    /// Candidate scratch for queries away from the grid's instant, sized
+    /// to n up front so no query grows it.
+    #[cfg_attr(feature = "oracle", allow(dead_code))]
+    cand: Vec<u32>,
     /// Bitset scratch: one bit per host, set for in-range candidates and
     /// swept in ascending index order (cleared during the sweep). This is
     /// how grid queries reproduce the brute-force output order without
     /// sorting.
     #[cfg_attr(feature = "oracle", allow(dead_code))]
     mask: Vec<u64>,
-    /// Last `(t, range)` key probed by a bool-mask neighbour query whose
-    /// grid was cold, with the number of linear scans served for it so
-    /// far. Building the index costs more than one brute scan, so the
-    /// first [`GRID_BUILD_AFTER`] cold queries at an instant are answered
-    /// by a direct scan (identical output order); only when an instant
-    /// proves query-dense does the grid get built.
-    #[cfg_attr(feature = "oracle", allow(dead_code))]
-    probe_key: Option<(SimTime, u64)>,
-    #[cfg_attr(feature = "oracle", allow(dead_code))]
-    probe_scans: u8,
-    /// BFS scratch for `reachable_within_hops` (reused).
+    /// BFS scratch for `reachable_within_hops` (reused, sized to n up
+    /// front).
     #[cfg_attr(feature = "oracle", allow(dead_code))]
     bfs_dist: Vec<u32>,
     #[cfg_attr(feature = "oracle", allow(dead_code))]
@@ -174,21 +186,17 @@ pub struct MobilityField {
 /// indistinguishable from the checkpointed run's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldMemo {
-    /// The instant the position cache covers, if any.
+    /// The instant of the last full position pass, if any.
     pub cache_t: Option<SimTime>,
-    /// The cached per-host positions (meaningful when `cache_t` is set).
+    /// The positions of that pass (meaningful when `cache_t` is set).
     pub cache: Vec<Vec2>,
     /// Position-cache hits accumulated so far.
     pub cache_hits: u64,
     /// Position-cache misses accumulated so far.
     pub cache_misses: u64,
     /// The `(t, range.to_bits())` key of the built spatial index, if any.
+    /// The index is always built from the full pass, so `t == cache_t`.
     pub grid_key: Option<(SimTime, u64)>,
-    /// The `(t, range.to_bits())` key last probed by a cold neighbour
-    /// query, if any.
-    pub probe_key: Option<(SimTime, u64)>,
-    /// Linear scans served for `probe_key` so far.
-    pub probe_scans: u8,
 }
 
 impl MobilityField {
@@ -219,12 +227,13 @@ impl MobilityField {
                 group_of.push(i / config.group_size);
             }
         };
-        match config.model {
+        let speed_bound = match config.model {
             MotionModel::IndividualWaypoint => {
                 logical_groups(&mut group_of);
                 for _ in 0..n {
                     movers.push(Mover::Individual(RandomWaypoint::new(wp, &mut rng)));
                 }
+                wp.speed_bound()
             }
             MotionModel::GaussMarkov => {
                 logical_groups(&mut group_of);
@@ -237,6 +246,7 @@ impl MobilityField {
                 for _ in 0..n {
                     movers.push(Mover::GaussMarkov(GaussMarkov::new(gm, &mut rng)));
                 }
+                gm.speed_bound()
             }
             MotionModel::Manhattan => {
                 logical_groups(&mut group_of);
@@ -250,6 +260,7 @@ impl MobilityField {
                 for _ in 0..n {
                     movers.push(Mover::Manhattan(Manhattan::new(mp, &mut rng)));
                 }
+                mp.speed_bound()
             }
             MotionModel::GroupWaypoint if config.group_size == 1 => {
                 // Degenerate case: plain individual random waypoint motion.
@@ -257,6 +268,7 @@ impl MobilityField {
                     movers.push(Mover::Individual(RandomWaypoint::new(wp, &mut rng)));
                     group_of.push(i);
                 }
+                wp.speed_bound()
             }
             MotionModel::GroupWaypoint => {
                 let gp = GroupParams {
@@ -279,25 +291,28 @@ impl MobilityField {
                     }
                     i += members;
                 }
+                gp.speed_bound()
             }
-        }
+        };
         MobilityField {
             config,
             groups,
             movers,
             group_of,
+            speed_bound,
             cache_t: None,
             cache: vec![Vec2::ZERO; n],
             cache_hits: 0,
             cache_misses: 0,
+            point: vec![(None, Vec2::ZERO); n],
             grid: SpatialGrid::new(),
             grid_key: None,
-            probe_key: None,
-            probe_scans: 0,
+            latest: SimTime::ZERO,
+            cand: Vec::with_capacity(n),
             mask: vec![0; n.div_ceil(64)],
-            bfs_dist: Vec::new(),
-            bfs_frontier: Vec::new(),
-            bfs_next: Vec::new(),
+            bfs_dist: vec![u32::MAX; n],
+            bfs_frontier: Vec::with_capacity(n),
+            bfs_next: Vec::with_capacity(n),
         }
     }
 
@@ -330,30 +345,34 @@ impl MobilityField {
         self.movers[i].position_at(&mut self.groups, t)
     }
 
-    /// Refreshes the per-instant position cache for `t`, counting hits and
-    /// misses (surfaced by [`MobilityField::cache_stats`]).
-    fn refresh_positions(&mut self, t: SimTime) {
-        if self.cache_t == Some(t) {
-            self.cache_hits += 1;
-            return;
-        }
-        self.cache_misses += 1;
-        for i in 0..self.movers.len() {
-            self.cache[i] = self.movers[i].position_at(&mut self.groups, t);
+    /// One full O(n) position pass: every host's position at `t`.
+    fn full_pass(&mut self, t: SimTime) {
+        for (p, m) in self.cache.iter_mut().zip(self.movers.iter_mut()) {
+            *p = m.position_at(&mut self.groups, t);
         }
         self.cache_t = Some(t);
     }
 
-    /// Positions of all hosts at `t`; cached so repeated queries at the same
-    /// instant (one broadcast reaching many peers) cost one pass.
+    /// Positions of all hosts at `t`; cached so repeated calls at the same
+    /// instant cost one pass.
     pub fn positions_at(&mut self, t: SimTime) -> &[Vec2] {
-        self.refresh_positions(t);
+        if self.cache_t == Some(t) {
+            self.cache_hits += 1;
+        } else {
+            self.cache_misses += 1;
+            self.full_pass(t);
+            // The index is built from the pass it was keyed with; this
+            // pass replaced it.
+            self.grid_key = None;
+        }
         &self.cache
     }
 
-    /// Position-cache hits and misses accumulated so far: every geometric
-    /// query at an instant the cache already covers is a hit; a miss pays
-    /// one full O(n) position pass.
+    /// Position-cache hits and misses accumulated so far. Every geometric
+    /// query counts once: a miss is a query that paid a full O(n) position
+    /// pass (and, for a range query, an index rebuild); every other query
+    /// — the index reused, or one host's position computed point-wise — is
+    /// a hit.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }
@@ -372,11 +391,13 @@ impl MobilityField {
         }
     }
 
-    /// Exports the memoised query-cache state for checkpointing: the
-    /// position cache, its hit/miss counters, and the spatial-index and
-    /// probe keys. The grid contents themselves are not exported — they
-    /// are a deterministic function of the cached positions and are
-    /// rebuilt by [`MobilityField::restore_memo`].
+    /// Exports the memoised query-cache state for checkpointing: the last
+    /// full position pass, the hit/miss counters and the spatial-index
+    /// key. The grid contents themselves are not exported — they are a
+    /// deterministic function of the pass and are rebuilt by
+    /// [`MobilityField::restore_memo`]. Point-wise positions are not
+    /// exported either: they are a pure function of the instant, and no
+    /// counter depends on them.
     pub fn export_memo(&self) -> FieldMemo {
         FieldMemo {
             cache_t: self.cache_t,
@@ -384,15 +405,15 @@ impl MobilityField {
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             grid_key: self.grid_key,
-            probe_key: self.probe_key,
-            probe_scans: self.probe_scans,
         }
     }
 
     /// Restores memo state previously returned by
     /// [`MobilityField::export_memo`] into a freshly constructed (and
-    /// warped) field of the same size, rebuilding the spatial index when
-    /// the exported key shows it was live at the cached instant.
+    /// warped) field of the same size, rebuilding the spatial index from
+    /// the restored pass. A grid key whose instant is not the pass's
+    /// cannot be rebuilt and is dropped (snapshot decoding refuses such a
+    /// memo before it gets here).
     ///
     /// # Panics
     ///
@@ -407,113 +428,151 @@ impl MobilityField {
         self.cache = memo.cache;
         self.cache_hits = memo.cache_hits;
         self.cache_misses = memo.cache_misses;
-        self.grid_key = memo.grid_key;
-        self.probe_key = memo.probe_key;
-        self.probe_scans = memo.probe_scans;
-        // A grid keyed at the cached instant is live — queries can hit it
-        // without a rebuild — so reconstruct it from the restored
-        // positions. A key at an older instant is a dead memo: every
-        // future query misses it (simulation time is monotone), so the
-        // grid contents are unobservable and the key alone suffices.
+        self.grid_key = memo.grid_key.filter(|&(t, _)| Some(t) == memo.cache_t);
         #[cfg(not(feature = "oracle"))]
-        if let (Some(t), Some((grid_t, range_bits))) = (self.cache_t, self.grid_key) {
-            if grid_t == t {
-                let range = f64::from_bits(range_bits);
-                self.grid.rebuild(
-                    &self.cache,
-                    self.config.width,
-                    self.config.height,
-                    range * 0.5,
-                );
-            }
-        }
-    }
-
-    /// Position of host `i` at `t`, served from the memoised snapshot when
-    /// the cache already covers `t` (the common case inside one event) and
-    /// computed point-wise otherwise — never paying a full O(n) pass.
-    pub fn cached_position_at(&mut self, i: usize, t: SimTime) -> Vec2 {
-        if self.cache_t == Some(t) {
-            self.cache_hits += 1;
-            self.cache[i]
-        } else {
-            self.cache_misses += 1;
-            self.movers[i].position_at(&mut self.groups, t)
-        }
-    }
-
-    /// Euclidean distance between hosts `a` and `b` at `t` (via the
-    /// memoised position snapshot when warm).
-    pub fn distance_at(&mut self, a: usize, b: usize, t: SimTime) -> f64 {
-        let pa = self.cached_position_at(a, t);
-        let pb = self.cached_position_at(b, t);
-        pa.distance(pb)
-    }
-
-    /// Makes the spatial index current for `(t, range)`; like the position
-    /// cache, repeated queries at one instant reuse the build. The warm
-    /// case — both caches already at `(t, range)` — is a pair of inline
-    /// key compares with no call.
-    #[cfg_attr(feature = "oracle", allow(dead_code))]
-    #[inline]
-    fn ensure_grid(&mut self, t: SimTime, range: f64) {
-        let key = (t, range.to_bits());
-        if self.cache_t == Some(t) && self.grid_key == Some(key) {
-            self.cache_hits += 1;
-            return;
-        }
-        self.ensure_grid_slow(t, range, key);
-    }
-
-    #[cfg_attr(feature = "oracle", allow(dead_code))]
-    #[cold]
-    fn ensure_grid_slow(&mut self, t: SimTime, range: f64, key: (SimTime, u64)) {
-        self.refresh_positions(t);
-        if self.grid_key != Some(key) {
-            // Cell edge at half the range: the covered rectangle hugs the
-            // query disc tighter, cutting the candidate superset by ~30%
-            // versus edge == range for a handful more (contiguous) cells.
+        if let Some((_, range_bits)) = self.grid_key {
+            let range = f64::from_bits(range_bits);
             self.grid.rebuild(
                 &self.cache,
                 self.config.width,
                 self.config.height,
                 range * 0.5,
             );
-            self.grid_key = Some(key);
         }
     }
 
-    /// Sizes the BFS scratch so frontiers (never more than n entries)
-    /// cannot grow mid-query — warm BFS calls are strictly
-    /// allocation-free.
+    /// Host `i`'s exact position at `t`: from the full pass when it covers
+    /// `t`, else from the point memo, computed on first use at `t`.
+    fn exact_at(&mut self, i: usize, t: SimTime) -> Vec2 {
+        if self.cache_t == Some(t) {
+            return self.cache[i]; // tidy:allow(panic-discipline): host indices are < n by contract
+        }
+        let (at, p) = &mut self.point[i]; // tidy:allow(panic-discipline): host indices are < n by contract
+        if *at != Some(t) {
+            *p = self.movers[i].position_at(&mut self.groups, t); // tidy:allow(panic-discipline): host indices are < n by contract
+            *at = Some(t);
+        }
+        *p
+    }
+
+    /// Position of host `i` at `t` without a full O(n) pass: served from
+    /// the last pass when it covers `t` (the common case inside one
+    /// event), else computed point-wise and memoised for the instant.
+    /// Always counts a hit.
+    pub fn cached_position_at(&mut self, i: usize, t: SimTime) -> Vec2 {
+        self.cache_hits += 1;
+        self.exact_at(i, t)
+    }
+
+    /// Euclidean distance between hosts `a` and `b` at `t` (via the
+    /// memoised positions).
+    pub fn distance_at(&mut self, a: usize, b: usize, t: SimTime) -> f64 {
+        let pa = self.cached_position_at(a, t);
+        let pb = self.cached_position_at(b, t);
+        pa.distance(pb)
+    }
+
+    /// Readies the spatial index for a query at `(t, range)` and returns
+    /// how far any host may have moved since the index's instant t₀ —
+    /// zero when t₀ is `t`.
+    ///
+    /// An index built at t₀ serves a later `t` while no host can have
+    /// moved more than the skin, `speed_bound·(t − t₀) ≤ SKIN·range`, and
+    /// counts a hit. Otherwise the query pays one full position pass at
+    /// `t` and a rebuild, and counts a miss. The returned drift is widened
+    /// for rounding: travel times round to whole microseconds (a segment
+    /// can run a hair faster than its drawn speed, and a sub-µs leg jumps
+    /// a few µm at once), and float arithmetic adds a little more.
     #[cfg(not(feature = "oracle"))]
-    fn ensure_bfs_scratch(&mut self) {
-        let n = self.cache.len();
-        if self.bfs_frontier.capacity() < n {
-            self.bfs_frontier = Vec::with_capacity(n);
+    fn ready_grid(&mut self, t: SimTime, range: f64) -> f64 {
+        if t < self.latest {
+            // Movers answer only non-decreasing instants; a caller going
+            // back gets a full pass, as the brute force would give it.
+            self.grid_key = None;
         }
-        if self.bfs_next.capacity() < n {
-            self.bfs_next = Vec::with_capacity(n);
+        self.latest = t;
+        if let Some((t0, range_bits)) = self.grid_key {
+            if range_bits == range.to_bits() && t >= t0 {
+                if t == t0 {
+                    self.cache_hits += 1;
+                    return 0.0;
+                }
+                let drift = self.speed_bound * (t - t0).as_secs_f64();
+                if drift <= SKIN * range {
+                    self.cache_hits += 1;
+                    return drift * (1.0 + 1e-9) + 1e-3;
+                }
+            }
         }
+        self.cache_misses += 1;
+        self.full_pass(t);
+        // Cell edge at half the range: the covered rectangle hugs the
+        // query disc tighter, cutting the candidate superset by ~30%
+        // versus edge == range for a handful more (contiguous) cells.
+        self.grid.rebuild(
+            &self.cache,
+            self.config.width,
+            self.config.height,
+            range * 0.5,
+        );
+        self.grid_key = Some((t, range.to_bits()));
+        0.0
     }
 
-    /// Sets the mask bit of every host within `range` of `p` (branchless:
-    /// every candidate's word is written, carrying a bit only on a hit).
-    /// Callers must sweep (and thereby clear) the mask to restore the
+    /// Sets the mask bit of every host within `range` of `p` at `t`,
+    /// where `drift` is what [`MobilityField::ready_grid`] returned.
+    /// Hosts failing `keep` may be left unmarked, so callers still filter
+    /// in their sweep, which must also clear the mask to restore its
     /// all-zero invariant.
-    #[cfg_attr(feature = "oracle", allow(dead_code))]
-    fn mark_in_range(mask: &mut [u64], grid: &SpatialGrid, p: Vec2, range: f64) {
+    #[cfg(not(feature = "oracle"))]
+    fn mark_in_range(
+        &mut self,
+        p: Vec2,
+        t: SimTime,
+        range: f64,
+        drift: f64,
+        keep: impl Fn(usize) -> bool,
+    ) {
         let range_sq = range * range;
-        grid.for_each_slice(p, range, |idx, pos| {
-            // Copy the captures into locals so the mask stores below cannot
-            // force per-iteration reloads of loop-invariant values.
-            let (p, range_sq) = (p, range_sq);
+        if drift == 0.0 {
+            // The index holds the exact positions at `t`: test them
+            // branchlessly, writing every candidate's word and carrying a
+            // bit only on a hit.
+            let mask = &mut self.mask;
+            self.grid.for_each_slice(p, range, |idx, pos| {
+                // Copy the captures into locals so the mask stores below
+                // cannot force per-iteration reloads of loop-invariant
+                // values.
+                let (p, range_sq) = (p, range_sq);
+                for (q, &i) in pos.iter().zip(idx) {
+                    let hit = p.distance_sq(*q) <= range_sq;
+                    let i = i as usize;
+                    mask[i >> 6] |= (hit as u64) << (i & 63); // tidy:allow(panic-discipline): the index holds hosts 0..n only
+                }
+            });
+            return;
+        }
+        // A host within `range` of `p` at `t` was within `range + drift`
+        // of it at t₀ (triangle inequality), so the wider disc over the
+        // index yields a superset of the hits. Only those candidates get
+        // exact positions at `t`, and the exact test is the brute force's.
+        let reach = range + drift;
+        let reach_sq = reach * reach;
+        let mut cand = std::mem::take(&mut self.cand);
+        cand.clear();
+        self.grid.for_each_slice(p, reach, |idx, pos| {
             for (q, &i) in pos.iter().zip(idx) {
-                let hit = p.distance_sq(*q) <= range_sq;
-                let i = i as usize;
-                mask[i >> 6] |= (hit as u64) << (i & 63);
+                if p.distance_sq(*q) <= reach_sq && keep(i as usize) {
+                    cand.push(i);
+                }
             }
         });
+        for &i in &cand {
+            let i = i as usize;
+            let hit = p.distance_sq(self.exact_at(i, t)) <= range_sq;
+            self.mask[i >> 6] |= (hit as u64) << (i & 63); // tidy:allow(panic-discipline): the index holds hosts 0..n only
+        }
+        self.cand = cand;
     }
 
     /// Hosts within `range` metres of host `src` at `t` (excluding `src`
@@ -535,8 +594,8 @@ impl MobilityField {
     }
 
     /// [`MobilityField::neighbors_within`] into a caller-supplied buffer
-    /// (cleared first). Grid-accelerated: candidates come from the 3×3
-    /// cell neighbourhood, sorted ascending before the exact range test,
+    /// (cleared first). Grid-accelerated: candidates come from the cells
+    /// around `src`, marked in a bitmask swept in ascending index order,
     /// so the output order is identical to a brute-force `0..n` scan. A
     /// warm call performs no heap allocation.
     pub fn neighbors_within_into(
@@ -556,35 +615,13 @@ impl MobilityField {
         #[cfg(not(feature = "oracle"))]
         {
             out.clear();
-            let key = (t, range.to_bits());
-            let warm = self.cache_t == Some(t) && self.grid_key == Some(key);
-            if !warm {
-                // Cold grid: a single query is served cheaper by one
-                // direct scan than by an index build. Only an instant
-                // that keeps asking (a beacon-adjacent burst) earns the
-                // build; the scan output order is identical either way.
-                if self.probe_key != Some(key) {
-                    self.probe_key = Some(key);
-                    self.probe_scans = 0;
-                }
-                if self.probe_scans < GRID_BUILD_AFTER {
-                    self.probe_scans += 1;
-                    self.refresh_positions(t);
-                    let p = self.cache[src];
-                    let range_sq = range * range;
-                    for (i, q) in self.cache.iter().enumerate() {
-                        if i != src && active[i] && p.distance_sq(*q) <= range_sq {
-                            out.push(i);
-                        }
-                    }
-                    return;
-                }
-            }
-            self.ensure_grid(t, range);
-            let p = self.cache[src];
-            Self::mark_in_range(&mut self.mask, &self.grid, p, range);
+            let is_active = |i: usize| active.get(i).copied().unwrap_or(false);
+            let drift = self.ready_grid(t, range);
+            let p = self.exact_at(src, t);
+            self.mark_in_range(p, t, range, drift, |i| i != src && is_active(i));
             // `src` marks itself (distance zero); drop it before the sweep.
-            self.mask[src >> 6] &= !(1u64 << (src & 63));
+            self.mask[src >> 6] &= !(1u64 << (src & 63)); // tidy:allow(panic-discipline): src < n by contract
+
             // Sweeping set bits in word order visits hosts in ascending
             // index order — exactly the brute-force scan order.
             for (w, mw) in self.mask.iter_mut().enumerate() {
@@ -593,7 +630,7 @@ impl MobilityField {
                 while m != 0 {
                     let i = (w << 6) + m.trailing_zeros() as usize;
                     m &= m - 1;
-                    if active[i] {
+                    if is_active(i) {
                         out.push(i);
                     }
                 }
@@ -624,14 +661,10 @@ impl MobilityField {
         #[cfg(feature = "oracle")]
         {
             out.clear();
-            self.refresh_positions(t);
-            let p = self.cache[src];
+            let p = self.positions_at(t)[src]; // tidy:allow(panic-discipline): src < n by contract
             let range_sq = range * range;
             for (i, q) in self.cache.iter().enumerate() {
-                let active = active_bits
-                    .get(i >> 6)
-                    .is_some_and(|w| w >> (i & 63) & 1 == 1);
-                if i != src && active && p.distance_sq(*q) <= range_sq {
+                if i != src && bit(active_bits, i) && p.distance_sq(*q) <= range_sq {
                     out.push(i as u32);
                 }
             }
@@ -639,11 +672,12 @@ impl MobilityField {
         #[cfg(not(feature = "oracle"))]
         {
             out.clear();
-            self.ensure_grid(t, range);
-            let p = self.cache[src];
-            Self::mark_in_range(&mut self.mask, &self.grid, p, range);
+            let drift = self.ready_grid(t, range);
+            let p = self.exact_at(src, t);
+            self.mark_in_range(p, t, range, drift, |i| i != src && bit(active_bits, i));
             // `src` marks itself (distance zero); drop it before the sweep.
-            self.mask[src >> 6] &= !(1u64 << (src & 63));
+            self.mask[src >> 6] &= !(1u64 << (src & 63)); // tidy:allow(panic-discipline): src < n by contract
+
             // Word-wise AND applies the activity filter to 64 hosts at a
             // time; the zip truncates at the shorter side, so any tail
             // hosts without an activity word stay unreported (inactive).
@@ -688,8 +722,9 @@ impl MobilityField {
     /// buffer (cleared first). Grid-accelerated BFS expanding each frontier
     /// host's cell neighbourhood in ascending index order — the discovery
     /// order (and therefore the output) is identical to the brute-force
-    /// scan. Scratch buffers (`dist`, frontier) live in the field, and the
-    /// positions are borrowed from the memoised cache, never cloned.
+    /// scan. Only unvisited active candidates get exact positions, and
+    /// the scratch buffers live in the field, so a warm call performs no
+    /// heap allocation.
     pub fn reachable_within_hops_into(
         &mut self,
         src: usize,
@@ -708,33 +743,37 @@ impl MobilityField {
         #[cfg(not(feature = "oracle"))]
         {
             out.clear();
-            self.ensure_grid(t, range);
-            self.ensure_bfs_scratch();
-            let n = self.cache.len();
-            self.bfs_dist.clear();
-            self.bfs_dist.resize(n, u32::MAX);
-            self.bfs_dist[src] = 0;
+            let is_active = |i: usize| active.get(i).copied().unwrap_or(false);
+            let drift = self.ready_grid(t, range);
+            let mut dist = std::mem::take(&mut self.bfs_dist);
             let mut frontier = std::mem::take(&mut self.bfs_frontier);
             let mut next = std::mem::take(&mut self.bfs_next);
+            let unseen = |dist: &[u32], v: usize| dist.get(v) == Some(&u32::MAX);
+            dist.fill(u32::MAX);
+            if let Some(d) = dist.get_mut(src) {
+                *d = 0;
+            }
             frontier.clear();
             frontier.push(src as u32);
             for hop in 1..=hops {
                 next.clear();
                 for &u in &frontier {
-                    let pu = self.cache[u as usize];
-                    Self::mark_in_range(&mut self.mask, &self.grid, pu, range);
+                    let pu = self.exact_at(u as usize, t);
+                    self.mark_in_range(pu, t, range, drift, |v| unseen(&dist, v) && is_active(v));
                     // The ascending sweep visits this node's candidates in
                     // brute-scan order; visited nodes (including `u`
                     // itself) fail the distance-unset test, so discovery
                     // order and hop labels match the brute BFS exactly.
-                    for w in 0..self.mask.len() {
-                        let mut m = self.mask[w];
-                        self.mask[w] = 0;
+                    for (w, mw) in self.mask.iter_mut().enumerate() {
+                        let mut m = *mw;
+                        *mw = 0;
                         while m != 0 {
                             let v = (w << 6) + m.trailing_zeros() as usize;
                             m &= m - 1;
-                            if self.bfs_dist[v] == u32::MAX && active[v] {
-                                self.bfs_dist[v] = hop;
+                            if unseen(&dist, v) && is_active(v) {
+                                if let Some(d) = dist.get_mut(v) {
+                                    *d = hop;
+                                }
                                 next.push(v as u32);
                                 out.push((v, hop));
                             }
@@ -746,6 +785,7 @@ impl MobilityField {
                 }
                 std::mem::swap(&mut frontier, &mut next);
             }
+            self.bfs_dist = dist;
             self.bfs_frontier = frontier;
             self.bfs_next = next;
         }

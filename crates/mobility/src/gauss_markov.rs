@@ -52,7 +52,26 @@ impl Default for GaussMarkovParams {
     }
 }
 
+/// Scale of [`GaussMarkov::gaussian_ish`]: a sum of four uniforms in
+/// `[-1, 1)` times this, so every draw lies strictly within `±4 × 0.6124`.
+const GAUSS_SCALE: f64 = 0.6124;
+
 impl GaussMarkovParams {
+    /// The fastest a mover travels, m/s. A step's speed is
+    /// `α·s + (1 − α)·s̄ + √(1 − α²)·σ_s·w` with `|w| < 4 × 0.6124`, so a
+    /// mover starting at `s̄` never exceeds the recurrence's fixed point
+    /// `s̄ + √(1 − α²)·|σ_s|·2.4496 / (1 − α)`; at `α = 1` its speed stays
+    /// `s̄`. Position is interpolated at the step's own speed, so this
+    /// bounds displacement too.
+    pub fn speed_bound(&self) -> f64 {
+        let a = self.alpha;
+        if a >= 1.0 {
+            return self.mean_speed;
+        }
+        let noise = (1.0 - a * a).max(0.0).sqrt() * self.speed_stddev.abs() * 4.0 * GAUSS_SCALE;
+        self.mean_speed + noise / (1.0 - a)
+    }
+
     fn validate(&self) {
         assert!(
             self.width > 0.0 && self.height > 0.0,
@@ -118,11 +137,22 @@ impl GaussMarkov {
     /// A zero-mean unit-variance-ish draw (sum of uniforms — cheap,
     /// deterministic, adequate for mobility noise).
     fn gaussian_ish(rng: &mut SimRng) -> f64 {
-        (0..4).map(|_| rng.uniform_f64(-1.0, 1.0)).sum::<f64>() * 0.6124
+        (0..4).map(|_| rng.uniform_f64(-1.0, 1.0)).sum::<f64>() * GAUSS_SCALE
     }
 
+    /// Closes the current step and opens the next. The anchor moves with
+    /// the velocity [`GaussMarkov::position_at`] interpolated the ending
+    /// step with, so the trajectory is continuous at the boundary; only
+    /// then are the next step's speed and heading drawn.
     fn advance_one_step(&mut self) {
         let p = self.params;
+        let dt = p.step.as_secs_f64();
+        let delta = Vec2::new(
+            self.speed * self.heading.cos() * dt,
+            self.speed * self.heading.sin() * dt,
+        );
+        self.pos = (self.pos + delta).clamp_to(p.width, p.height);
+        self.at += p.step;
         let a = p.alpha;
         let decay = (1.0 - a * a).max(0.0).sqrt();
         self.speed = (a * self.speed
@@ -135,13 +165,6 @@ impl GaussMarkov {
         self.heading = a * self.heading
             + (1.0 - a) * mean_heading
             + decay * p.heading_stddev * Self::gaussian_ish(&mut self.rng);
-        let dt = p.step.as_secs_f64();
-        let delta = Vec2::new(
-            self.speed * self.heading.cos() * dt,
-            self.speed * self.heading.sin() * dt,
-        );
-        self.pos = (self.pos + delta).clamp_to(p.width, p.height);
-        self.at += p.step;
     }
 
     fn edge_mean_heading(&self) -> f64 {

@@ -53,6 +53,13 @@ impl ManhattanParams {
         );
     }
 
+    /// The fastest a mover travels, m/s: each street is walked at a speed
+    /// from `[v_min, v_max]`, and a straight line is never longer than the
+    /// path along the streets.
+    pub fn speed_bound(&self) -> f64 {
+        self.v_max
+    }
+
     fn cols(&self) -> i64 {
         (self.width / self.block).floor() as i64
     }

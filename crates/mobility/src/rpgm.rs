@@ -26,6 +26,13 @@ pub struct GroupParams {
 }
 
 impl GroupParams {
+    /// The fastest a member moves, m/s: its reference point's speed plus
+    /// its own speed relative to it. Clamping to the space is 1-Lipschitz,
+    /// so it cannot add speed.
+    pub fn speed_bound(&self) -> f64 {
+        self.reference.speed_bound() + self.member_v_max
+    }
+
     fn member_params(&self, pause: SimTime) -> WaypointParams {
         WaypointParams {
             width: 2.0 * self.group_radius,

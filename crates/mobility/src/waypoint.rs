@@ -39,6 +39,12 @@ impl WaypointParams {
         assert!(self.v_min > 0.0, "v_min must be positive (RWP speed decay)");
         assert!(self.v_max >= self.v_min, "v_max must be >= v_min");
     }
+
+    /// The fastest a mover under these parameters travels, m/s: every
+    /// segment's speed is drawn from `[v_min, v_max]`.
+    pub fn speed_bound(&self) -> f64 {
+        self.v_max
+    }
 }
 
 #[derive(Debug, Clone, Copy)]

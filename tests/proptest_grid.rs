@@ -1,11 +1,14 @@
 //! Differential property tests of the spatial-grid query paths against
 //! the brute-force oracles: random layouts, ranges, instants and activity
-//! masks (including all-inactive), border-cell positions, and host pairs
-//! at exactly the transmission range. Every public query must reproduce
+//! masks (including all-inactive), border-cell positions, host pairs at
+//! exactly the transmission range, and an index reused across later
+//! instants under every motion model. Every public query must reproduce
 //! the brute-force result — same hosts, same order — because the
 //! simulator's determinism contract depends on it.
 
-use grococa::mobility::{pack_active_bits, FieldConfig, MobilityField, SpatialGrid, Vec2};
+use grococa::mobility::{
+    pack_active_bits, FieldConfig, MobilityField, MotionModel, SpatialGrid, Vec2,
+};
 use grococa::sim::SimTime;
 use proptest::prelude::*;
 
@@ -17,6 +20,18 @@ fn brute_candidates(positions: &[Vec2], p: Vec2, range: f64) -> Vec<u32> {
         .filter(|&(_, q)| p.distance_sq(*q) <= range * range)
         .map(|(i, _)| i as u32)
         .collect()
+}
+
+/// A gap between query instants, from a `(scale, raw)` draw: the same
+/// instant, 1 µs–1 ms, up to 1 s (inside the skin at ordinary ranges), or
+/// up to 8 s (past it for every motion model).
+fn gap(scale: u8, raw: u64) -> SimTime {
+    SimTime::from_micros(match scale {
+        0 => 0,
+        1 => 1 + raw % 1_000,
+        2 => raw % 1_000_000,
+        _ => raw % 8_000_000,
+    })
 }
 
 /// Deterministic patchy activity mask from one seed word; `kind` folds in
@@ -78,7 +93,7 @@ proptest! {
     /// reproduces the brute-force oracle exactly, across random field
     /// sizes, seeds, instants, ranges and activity masks (all-active,
     /// all-inactive, patchy). Repeated queries exercise the memoised
-    /// snapshot, the scan-first adaptive policy *and* the built grid.
+    /// position pass and the built grid.
     #[test]
     fn neighbour_queries_match_brute(
         n in 1usize..120,
@@ -166,6 +181,75 @@ proptest! {
             field.reachable_within_hops_into(src, range, hops, t, &active, &mut reach);
             let brute = oracle.reachable_within_hops_brute(src, range, hops, t, &active);
             prop_assert_eq!(&reach, &brute);
+        }
+    }
+
+    /// Queries at non-decreasing instants — gaps from 1 µs to past the
+    /// skin, so an index built at one instant serves later ones — under
+    /// every motion model, while the activity mask flips, the range
+    /// changes mid-sequence, and the memo moves into a freshly warped
+    /// field mid-sequence. Every answer equals the brute force on a twin
+    /// field, and after the move the restored field answers and counts
+    /// exactly like the original it was taken from.
+    #[test]
+    fn grid_reuse_across_instants_matches_brute(
+        model in 0usize..4,
+        group_size in 1usize..6,
+        n in 1usize..80,
+        seed in any::<u64>(),
+        start in 0u64..3_000_000_000,
+        gaps in proptest::collection::vec((0u8..4, any::<u64>()), 4..14),
+        ranges in (20.0f64..250.0, 20.0f64..250.0),
+        hops in 0u32..4,
+        mask_seed in any::<u64>(),
+        restore_at in 0usize..14,
+    ) {
+        let model = [
+            MotionModel::GroupWaypoint,
+            MotionModel::IndividualWaypoint,
+            MotionModel::GaussMarkov,
+            MotionModel::Manhattan,
+        ][model];
+        let cfg = FieldConfig {
+            model,
+            group_size,
+            ..FieldConfig::default()
+        };
+        let mut field = MobilityField::new(cfg, n, seed);
+        let mut twin = MobilityField::new(cfg, n, seed);
+        let mut restored: Option<MobilityField> = None;
+        let mut t = SimTime::from_micros(start);
+        let (mut out, mut out32, mut reach, mut bits) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (step, &(scale, raw)) in gaps.iter().enumerate() {
+            t += gap(scale, raw);
+            let range = if step < gaps.len() / 2 { ranges.0 } else { ranges.1 };
+            let active = activity_mask(n, mask_seed.rotate_left(step as u32), (step % 4) as u8);
+            pack_active_bits(&active, &mut bits);
+            if step == restore_at {
+                let mut fresh = MobilityField::new(cfg, n, seed);
+                fresh.warp_to(t);
+                fresh.restore_memo(field.export_memo());
+                restored = Some(fresh);
+            }
+            for src in [raw as usize % n, (raw >> 32) as usize % n] {
+                let brute = twin.neighbors_within_brute(src, range, t, &active);
+                let brute_reach = twin.reachable_within_hops_brute(src, range, hops, t, &active);
+                for f in std::iter::once(&mut field).chain(restored.as_mut()) {
+                    f.neighbors_within_into(src, range, t, &active, &mut out);
+                    prop_assert_eq!(&out, &brute, "{:?} step {} src {}", model, step, src);
+                    f.neighbors_within_bits(src, range, t, &bits, &mut out32);
+                    prop_assert!(
+                        out32.iter().map(|&i| i as usize).eq(brute.iter().copied()),
+                        "bits variant diverged: {:?} step {} src {}", model, step, src
+                    );
+                    f.reachable_within_hops_into(src, range, hops, t, &active, &mut reach);
+                    prop_assert_eq!(&reach, &brute_reach, "{:?} step {} src {}", model, step, src);
+                }
+            }
+            if let Some(r) = &restored {
+                prop_assert_eq!(r.cache_stats(), field.cache_stats());
+            }
         }
     }
 }

@@ -1,14 +1,21 @@
 //! Property tests of the remaining substrates: mobility models stay in
-//! bounds under arbitrary parameters, the NDP link table matches a naive
+//! bounds and within their speed bounds under arbitrary parameters (the
+//! spatial index relies on the latter), the NDP link table matches a naive
 //! reference automaton, and facilities obey the FIFO queueing law.
 
 use grococa::mobility::{
-    FieldConfig, GaussMarkov, GaussMarkovParams, Manhattan, ManhattanParams, MobilityField,
-    MotionModel, RandomWaypoint, WaypointParams,
+    FieldConfig, GaussMarkov, GaussMarkovParams, GroupParams, Manhattan, ManhattanParams,
+    MobilityField, MotionGroup, MotionModel, RandomWaypoint, Vec2, WaypointParams,
 };
 use grococa::net::{LinkEvent, Ndp, NdpConfig};
 use grococa::sim::{transmission_time, Facility, SimRng, SimTime};
 use proptest::prelude::*;
+
+/// The farthest a host under `bound` m/s may move in `secs`, with the
+/// slack the spatial index allows for microsecond rounding and floats.
+fn drift_allowance(bound: f64, secs: f64) -> f64 {
+    bound * secs * (1.0 + 1e-9) + 1e-3
+}
 
 proptest! {
     /// Random waypoint stays inside any legal area for any seed.
@@ -54,6 +61,101 @@ proptest! {
             let p = m.position_at(SimTime::from_secs(s));
             prop_assert!((0.0..=1_000.0).contains(&p.x));
             prop_assert!((0.0..=1_000.0).contains(&p.y));
+        }
+    }
+
+    /// A Gauss–Markov mover is continuous across step boundaries: in the
+    /// microsecond around each boundary it moves no farther than its
+    /// speed bound allows (the anchor advances with the velocity the
+    /// ending step was interpolated with).
+    #[test]
+    fn gauss_markov_is_continuous_at_step_boundaries(
+        alpha in 0.0f64..=1.0,
+        mean_speed in 0.5f64..20.0,
+        seed in any::<u64>(),
+    ) {
+        let params = GaussMarkovParams {
+            alpha,
+            mean_speed,
+            ..GaussMarkovParams::default()
+        };
+        let bound = params.speed_bound();
+        let mut m = GaussMarkov::new(params, &mut SimRng::new(seed));
+        for k in 1..300 {
+            let boundary = SimTime::from_secs(k);
+            let before = m.position_at(SimTime::from_micros(boundary.as_micros() - 1));
+            let after = m.position_at(boundary);
+            let jump = before.distance(after);
+            prop_assert!(
+                jump <= drift_allowance(bound, 1e-6),
+                "jumped {jump} m across the boundary at {k} s (bound {bound} m/s)"
+            );
+        }
+    }
+
+    /// Every mover's displacement between two instants stays within its
+    /// model's speed bound times the elapsed time (plus the rounding
+    /// allowance the spatial index adds), over gaps from 1 µs to minutes.
+    #[test]
+    fn movers_respect_their_speed_bounds(
+        v_min in 0.2f64..3.0,
+        dv in 0.0f64..8.0,
+        seed in any::<u64>(),
+        gaps in proptest::collection::vec((0u8..3, 1u64..120_000_000), 20..80),
+    ) {
+        let wp = WaypointParams {
+            width: 1_000.0,
+            height: 1_000.0,
+            v_min,
+            v_max: v_min + dv,
+            pause: SimTime::from_secs(1),
+        };
+        let gp = GroupParams {
+            reference: wp,
+            group_radius: 50.0,
+            member_v_min: (v_min * 0.5).max(0.1),
+            member_v_max: ((v_min + dv) * 0.5).max(0.2),
+        };
+        let gm = GaussMarkovParams {
+            mean_speed: v_min + 0.5 * dv,
+            ..GaussMarkovParams::default()
+        };
+        let mp = ManhattanParams {
+            v_min,
+            v_max: v_min + dv,
+            ..ManhattanParams::default()
+        };
+        let mut rng = SimRng::new(seed);
+        let mut waypoint = RandomWaypoint::new(wp, &mut rng);
+        let mut group = MotionGroup::new(gp, 3, &mut rng);
+        let mut gauss = GaussMarkov::new(gm, &mut rng);
+        let mut manhattan = Manhattan::new(mp, &mut rng);
+        let mut sample = |t: SimTime| -> [(Vec2, f64); 4] {
+            [
+                (waypoint.position_at(t), wp.speed_bound()),
+                (group.member_at(2, t), gp.speed_bound()),
+                (gauss.position_at(t), gm.speed_bound()),
+                (manhattan.position_at(t), mp.speed_bound()),
+            ]
+        };
+        let mut t = SimTime::ZERO;
+        let mut prev = sample(t);
+        for &(scale, raw) in &gaps {
+            let dt = SimTime::from_micros(match scale {
+                0 => 1 + raw % 1_000,
+                1 => raw % 2_000_000,
+                _ => raw,
+            });
+            t += dt;
+            let cur = sample(t);
+            for (model, ((p, bound), (q, _))) in prev.iter().zip(&cur).enumerate() {
+                let moved = p.distance(*q);
+                prop_assert!(
+                    moved <= drift_allowance(*bound, dt.as_secs_f64()),
+                    "mover {model} moved {moved} m in {dt} (bound {bound} m/s)"
+                );
+            }
+            prev = cur;
         }
     }
 
