@@ -6,15 +6,17 @@
 //! Scale control via environment variables:
 //!
 //! * `GROCOCA_FULL=1` — paper-scale runs (2 000 recorded requests per host
-//!   instead of the quick default of 300);
+//!   instead of the quick default of 300); `0` or unset is quick scale;
 //! * `GROCOCA_SEEDS=k` — average every point over `k` seeds (default 1);
-//! * `GROCOCA_JOBS=n` — run sweep cells on `n` worker threads (default:
-//!   all available cores). Every (x, scheme, seed) cell is an independent
-//!   deterministic run and results are collected in cell order, so the
-//!   output is byte-identical whatever the worker count.
+//! * `GROCOCA_JOBS=n` — run cells on `n` worker threads (default: all
+//!   available cores). Every cell is an independent deterministic run and
+//!   results are collected in cell order, so the output is byte-identical
+//!   whatever the worker count.
 //!
-//! Each `figN_*` function both prints its table and returns the data, so
-//! the shape assertions in `benches/` and `tests/` can validate trends.
+//! Every table runs its cells through [`grococa_par::run_supervised`], the
+//! pool `grococa sweep` also runs on. Each figure function both prints its
+//! table and returns the data it printed; `tests/shapes.rs` at the
+//! workspace root asserts the paper's trends on scaled-down replicas.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,12 +25,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use grococa_core::{Report, RunOutput, Scheme, SimConfig, Simulation};
+use grococa_par::{JobsEnvError, SuperviseOptions};
 use grococa_sim::derive_seed;
 
 /// Simulation events dispatched since the last [`take_events`] call, summed
-/// across every run started by this crate (sweeps and the one-off
-/// experiments alike). `figures.rs` drains it per figure to print
-/// throughput.
+/// across every cell this crate runs. `figures.rs` drains it per figure to
+/// print throughput.
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Drains and returns the event counter accumulated since the last call.
@@ -36,12 +38,26 @@ pub fn take_events() -> u64 {
     TOTAL_EVENTS.swap(0, Ordering::Relaxed)
 }
 
-/// Runs one configuration, folding its event count into the crate-wide
-/// throughput counter.
-fn run_one(cfg: SimConfig) -> RunOutput {
-    let out = Simulation::new(cfg).run();
-    TOTAL_EVENTS.fetch_add(out.events, Ordering::Relaxed);
-    out
+/// Runs every cell on the supervised pool with `jobs` workers, returning
+/// the outputs in cell order and folding their events into the throughput
+/// counter. Only the plain-data [`SimConfig`] crosses threads — each worker
+/// constructs the (`Rc`-based, non-`Send`) [`Simulation`] locally.
+///
+/// # Panics
+///
+/// Aborts the table with the [`grococa_par::JobFailure`] text (cell index,
+/// attempts, panic message) of the first cell that still fails after its
+/// retry.
+fn run_cells(cells: &[SimConfig], jobs: usize) -> Vec<RunOutput> {
+    let results = grococa_par::run_supervised(cells, &SuperviseOptions::with_jobs(jobs), |cfg| {
+        Simulation::new(cfg.clone()).run()
+    });
+    let outputs: Vec<RunOutput> = results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|failure| panic!("{failure}")))
+        .collect();
+    TOTAL_EVENTS.fetch_add(outputs.iter().map(|o| o.events).sum(), Ordering::Relaxed);
+    outputs
 }
 
 /// The three schemes every figure compares.
@@ -68,23 +84,55 @@ impl SweepPoint {
     }
 }
 
+const FULL_ENV: &str = "GROCOCA_FULL";
+const SEEDS_ENV: &str = "GROCOCA_SEEDS";
+
+fn full_scale() -> Result<bool, String> {
+    match std::env::var(FULL_ENV).as_deref() {
+        Err(_) | Ok("0") => Ok(false),
+        Ok("1") => Ok(true),
+        Ok(v) => Err(format!("{FULL_ENV}={v:?} is not 0 or 1")),
+    }
+}
+
+/// Checks the scale variables once, before any cell runs: `GROCOCA_SEEDS`
+/// must be unset or a positive integer, and `GROCOCA_FULL` unset, `0` or
+/// `1`. The seed count changes every table, so a typo must not silently
+/// average over one seed.
+///
+/// # Errors
+///
+/// Names the first malformed variable and its value.
+pub fn check_env() -> Result<(), String> {
+    seeds_per_point().map_err(|e| e.to_string())?;
+    full_scale().map(|_| ())
+}
+
 /// Recorded requests per host for the current scale
 /// (300, or 2 000 under `GROCOCA_FULL=1`).
+///
+/// # Panics
+///
+/// Panics if `GROCOCA_FULL` is malformed; [`check_env`] reports that
+/// without panicking.
 pub fn requests_per_mh() -> u64 {
-    if std::env::var("GROCOCA_FULL").is_ok_and(|v| v == "1") {
-        2_000
-    } else {
-        300
+    match full_scale() {
+        Ok(true) => 2_000,
+        Ok(false) => 300,
+        Err(e) => panic!("{e}"),
     }
 }
 
 /// Seeds averaged per point (`GROCOCA_SEEDS`, default 1).
-pub fn seeds_per_point() -> u64 {
-    std::env::var("GROCOCA_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&k| k > 0)
-        .unwrap_or(1)
+///
+/// # Errors
+///
+/// Returns [`JobsEnvError`] when `GROCOCA_SEEDS` is set but is not a
+/// positive integer.
+pub fn seeds_per_point() -> Result<u64, JobsEnvError> {
+    std::env::var(SEEDS_ENV).map_or(Ok(1), |raw| {
+        grococa_par::jobs_from_value(SEEDS_ENV, &raw).map(|k| k as u64)
+    })
 }
 
 /// The base configuration every figure starts from (Table II defaults at
@@ -124,30 +172,34 @@ fn mean_reports(reports: &[Report]) -> Report {
 }
 
 /// Runs one sweep: for every `x`, runs every scheme (averaged over the
-/// configured seeds) with `configure(scheme, x)` building the point's
+/// `GROCOCA_SEEDS` seeds) with `configure(scheme, x)` building the point's
 /// configuration. Cells run on `GROCOCA_JOBS` worker threads (default: all
 /// cores); see [`run_sweep_with_jobs`] for the determinism guarantee.
+///
+/// # Panics
+///
+/// Panics if `GROCOCA_SEEDS` is malformed; [`check_env`] reports that
+/// without panicking.
 pub fn run_sweep(
     xs: &[f64],
     configure: impl Fn(Scheme, f64) -> SimConfig + Sync,
 ) -> Vec<SweepPoint> {
-    run_sweep_with_jobs(xs, grococa_par::jobs_from_env(), configure)
+    let seeds = seeds_per_point().unwrap_or_else(|e| panic!("{e}"));
+    run_sweep_with_jobs(xs, grococa_par::jobs_from_env(), seeds, configure)
 }
 
-/// [`run_sweep`] with an explicit worker count.
+/// [`run_sweep`] with an explicit worker count and seeds per point.
 ///
 /// Every (x, scheme, seed) cell is one fully independent simulation:
-/// configurations are built up front, fanned out over a self-scheduling
-/// scoped-thread pool, and collected **by cell index**. Only the plain-data
-/// [`SimConfig`] crosses threads — each worker constructs the (`Rc`-based,
-/// non-`Send`) [`Simulation`] locally. The returned points are therefore
+/// configurations are built up front, run on the supervised pool, and
+/// collected **by cell index**. The returned points are therefore
 /// byte-identical for any `jobs`, including the inline `jobs == 1` path.
 pub fn run_sweep_with_jobs(
     xs: &[f64],
     jobs: usize,
+    seeds: u64,
     configure: impl Fn(Scheme, f64) -> SimConfig + Sync,
 ) -> Vec<SweepPoint> {
-    let seeds = seeds_per_point();
     let mut cells: Vec<SimConfig> = Vec::with_capacity(xs.len() * SCHEMES.len() * seeds as usize);
     for &x in xs {
         for scheme in SCHEMES {
@@ -161,9 +213,7 @@ pub fn run_sweep_with_jobs(
             }
         }
     }
-    let outputs = grococa_par::run_indexed(&cells, jobs, |cfg| Simulation::new(cfg.clone()).run());
-    let events: u64 = outputs.iter().map(|o| o.events).sum();
-    TOTAL_EVENTS.fetch_add(events, Ordering::Relaxed);
+    let outputs = run_cells(&cells, jobs);
     let per_scheme = seeds as usize;
     let per_x = SCHEMES.len() * per_scheme;
     xs.iter()
@@ -385,84 +435,90 @@ pub struct AblationRow {
 /// mechanism's contribution. Not an experiment of the paper — an extension
 /// the design section calls for.
 pub fn ablations() -> Vec<AblationRow> {
-    use grococa_core::GroCocaToggles;
-    type Tweak = Box<dyn Fn(&mut GroCocaToggles)>;
-    let variants: Vec<(&'static str, Tweak)> = vec![
-        ("full", Box::new(|_| {})),
-        (
-            "no-signature-filter",
-            Box::new(|t| t.signature_filter = false),
-        ),
-        (
-            "no-admission-control",
-            Box::new(|t| t.admission_control = false),
-        ),
-        (
-            "no-coop-replacement",
-            Box::new(|t| t.cooperative_replacement = false),
-        ),
-        (
-            "no-compression",
-            Box::new(|t| t.compress_signatures = false),
-        ),
-        ("no-piggyback", Box::new(|t| t.piggyback_updates = false)),
+    type Tweak = fn(&mut grococa_core::GroCocaToggles);
+    let variants: [(&'static str, Tweak); 6] = [
+        ("full", |_| {}),
+        ("no-signature-filter", |t| t.signature_filter = false),
+        ("no-admission-control", |t| t.admission_control = false),
+        ("no-coop-replacement", |t| t.cooperative_replacement = false),
+        ("no-compression", |t| t.compress_signatures = false),
+        ("no-piggyback", |t| t.piggyback_updates = false),
     ];
-    let mut rows = Vec::new();
+    let cells: Vec<SimConfig> = variants
+        .iter()
+        .map(|(_, tweak)| {
+            let mut cfg = base_config(Scheme::GroCoca);
+            tweak(&mut cfg.toggles);
+            cfg
+        })
+        .collect();
+    let outputs = run_cells(&cells, grococa_par::jobs_from_env());
     println!("\n## Ablations — GroCoca with one mechanism disabled");
     println!(
         "{:<24} {:>10} {:>8} {:>8} {:>12} {:>10}",
         "variant", "lat(ms)", "GCH(%)", "SRV(%)", "pw/GCH", "sig msgs"
     );
-    for (name, tweak) in variants {
-        let mut cfg = base_config(Scheme::GroCoca);
-        tweak(&mut cfg.toggles);
-        let report = run_one(cfg).report;
-        println!(
-            "{:<24} {:>10.2} {:>8.2} {:>8.2} {:>12.0} {:>10}",
-            name,
-            report.access_latency_ms,
-            report.global_hit_ratio_pct,
-            report.server_request_ratio_pct,
-            report.power_per_gch_uws,
-            report.signature_messages
-        );
-        rows.push(AblationRow {
-            variant: name,
-            report,
-        });
-    }
-    rows
+    variants
+        .iter()
+        .zip(outputs)
+        .map(|(&(variant, _), out)| {
+            let report = out.report;
+            println!(
+                "{:<24} {:>10.2} {:>8.2} {:>8.2} {:>12.0} {:>10}",
+                variant,
+                report.access_latency_ms,
+                report.global_hit_ratio_pct,
+                report.server_request_ratio_pct,
+                report.power_per_gch_uws,
+                report.signature_messages
+            );
+            AblationRow { variant, report }
+        })
+        .collect()
+}
+
+/// `latency/GCH` as the comparison tables print it.
+fn latency_and_gch(report: &Report) -> String {
+    format!(
+        "{:.1}/{:.1}",
+        report.access_latency_ms, report.global_hit_ratio_pct
+    )
 }
 
 /// Compares the client-cache replacement policies under each scheme (the
 /// paper uses LRU throughout; LFU and FIFO are baselines — extension).
 pub fn policy_comparison() -> Vec<(Scheme, &'static str, Report)> {
     use grococa_core::ReplacementPolicy;
+    let policies = [
+        ("LRU", ReplacementPolicy::Lru),
+        ("LFU", ReplacementPolicy::Lfu),
+        ("FIFO", ReplacementPolicy::Fifo),
+    ];
     let mut rows = Vec::new();
-    println!("\n## Replacement policies — latency (ms) / GCH (%) per scheme");
-    println!("{:<8} {:>14} {:>14} {:>14}", "scheme", "LRU", "LFU", "FIFO");
+    let mut cells = Vec::new();
     for scheme in [Scheme::Coca, Scheme::GroCoca] {
-        let mut cells = Vec::new();
-        for (name, policy) in [
-            ("LRU", ReplacementPolicy::Lru),
-            ("LFU", ReplacementPolicy::Lfu),
-            ("FIFO", ReplacementPolicy::Fifo),
-        ] {
+        for (name, policy) in policies {
             let mut cfg = base_config(scheme);
             cfg.cache_policy = policy;
-            let report = run_one(cfg).report;
-            cells.push(format!(
-                "{:.1}/{:.1}",
-                report.access_latency_ms, report.global_hit_ratio_pct
-            ));
-            rows.push((scheme, name, report));
+            cells.push(cfg);
+            rows.push((scheme, name));
         }
+    }
+    let outputs = run_cells(&cells, grococa_par::jobs_from_env());
+    let rows: Vec<_> = rows
+        .into_iter()
+        .zip(outputs)
+        .map(|((scheme, name), out)| (scheme, name, out.report))
+        .collect();
+    println!("\n## Replacement policies — latency (ms) / GCH (%) per scheme");
+    println!("{:<8} {:>14} {:>14} {:>14}", "scheme", "LRU", "LFU", "FIFO");
+    for row in rows.chunks(policies.len()) {
         println!(
             "{:<8} {:>14} {:>14} {:>14}",
-            scheme.label(),
-            cells[0],
-            cells[1],
-            cells[2]
+            row[0].0.label(),
+            latency_and_gch(&row[0].2),
+            latency_and_gch(&row[1].2),
+            latency_and_gch(&row[2].2)
         );
     }
     rows
@@ -474,27 +530,37 @@ pub fn policy_comparison() -> Vec<(Scheme, &'static str, Report)> {
 /// much of GroCoca's win comes from physical group mobility.
 pub fn mobility_models() -> Vec<(&'static str, Scheme, Report)> {
     use grococa_core::MotionModel;
+    let schemes = [Scheme::Coca, Scheme::GroCoca];
     let mut rows = Vec::new();
-    println!("\n## Mobility models — latency (ms) / GCH (%) per scheme");
-    println!("{:<20} {:>14} {:>14}", "model", "COCA", "GC");
+    let mut cells = Vec::new();
     for (name, model) in [
         ("group-waypoint", MotionModel::GroupWaypoint),
         ("individual-waypoint", MotionModel::IndividualWaypoint),
         ("gauss-markov", MotionModel::GaussMarkov),
         ("manhattan", MotionModel::Manhattan),
     ] {
-        let mut cells = Vec::new();
-        for scheme in [Scheme::Coca, Scheme::GroCoca] {
+        for scheme in schemes {
             let mut cfg = base_config(scheme);
             cfg.motion_model = model;
-            let report = run_one(cfg).report;
-            cells.push(format!(
-                "{:.1}/{:.1}",
-                report.access_latency_ms, report.global_hit_ratio_pct
-            ));
-            rows.push((name, scheme, report));
+            cells.push(cfg);
+            rows.push((name, scheme));
         }
-        println!("{:<20} {:>14} {:>14}", name, cells[0], cells[1]);
+    }
+    let outputs = run_cells(&cells, grococa_par::jobs_from_env());
+    let rows: Vec<_> = rows
+        .into_iter()
+        .zip(outputs)
+        .map(|((name, scheme), out)| (name, scheme, out.report))
+        .collect();
+    println!("\n## Mobility models — latency (ms) / GCH (%) per scheme");
+    println!("{:<20} {:>14} {:>14}", "model", "COCA", "GC");
+    for row in rows.chunks(schemes.len()) {
+        println!(
+            "{:<20} {:>14} {:>14}",
+            row[0].0,
+            latency_and_gch(&row[0].2),
+            latency_and_gch(&row[1].2)
+        );
     }
     rows
 }
@@ -532,7 +598,7 @@ mod tests {
             .validate()
             .expect("base config must be valid");
         assert!(requests_per_mh() >= 300);
-        assert!(seeds_per_point() >= 1);
+        assert!(seeds_per_point().is_ok_and(|k| k >= 1));
     }
 
     #[test]
@@ -601,8 +667,8 @@ mod tests {
             cfg
         };
         let xs = [0.1, 0.5];
-        let serial = run_sweep_with_jobs(&xs, 1, configure);
-        let parallel = run_sweep_with_jobs(&xs, 4, configure);
+        let serial = run_sweep_with_jobs(&xs, 1, 1, configure);
+        let parallel = run_sweep_with_jobs(&xs, 4, 1, configure);
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.reports, p.reports, "x = {}", s.x);
         }
@@ -611,7 +677,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_across_worker_counts() {
         // A fig2-shaped sweep at quick scale: identical cell grids must
-        // yield byte-identical reports whether run inline or on 4 workers.
+        // yield byte-identical reports whether run inline or on 4 workers,
+        // at one seed and averaged over three.
         let configure = |scheme: Scheme, x: f64| SimConfig {
             cache_size: x as usize,
             num_clients: 20,
@@ -619,12 +686,28 @@ mod tests {
             ..SimConfig::for_scheme(scheme)
         };
         let xs = [50.0, 100.0];
-        let serial = run_sweep_with_jobs(&xs, 1, configure);
-        let parallel = run_sweep_with_jobs(&xs, 4, configure);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.x, p.x);
-            assert_eq!(s.reports, p.reports, "x = {}", s.x);
+        for seeds in [1, 3] {
+            let serial = run_sweep_with_jobs(&xs, 1, seeds, configure);
+            let parallel = run_sweep_with_jobs(&xs, 4, seeds, configure);
+            assert_eq!(serial.len(), parallel.len());
+            for (s, p) in serial.iter().zip(&parallel) {
+                assert_eq!(s.x, p.x);
+                assert_eq!(s.reports, p.reports, "x = {}, seeds = {seeds}", s.x);
+            }
+            // Each point is the mean of its single-seed runs at the derived
+            // seeds, wherever (x, scheme) sits in the cell grid.
+            for (p, &x) in parallel.iter().zip(&xs) {
+                for scheme in SCHEMES {
+                    let per_seed: Vec<Report> = (0..seeds)
+                        .map(|s| {
+                            let mut cfg = configure(scheme, x);
+                            cfg.seed = derive_seed(cfg.seed, s);
+                            Simulation::new(cfg).run().report
+                        })
+                        .collect();
+                    assert_eq!(*p.of(scheme), mean_reports(&per_seed), "x = {x}");
+                }
+            }
         }
     }
 }

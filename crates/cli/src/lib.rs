@@ -13,7 +13,6 @@ pub mod output;
 pub mod worker;
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -21,7 +20,7 @@ use std::time::Instant;
 use grococa_core::{ConfigError, Scheme, SimConfig, Simulation};
 use grococa_journal::{FaultScript, FaultyBackend, Journal, JournalError};
 use grococa_par::{
-    payload_text, run_attempts, warn_once, AttemptFailure, FailureKind, JobFailure, Slot,
+    catch_attempt, run_attempts, warn_once, AttemptFailure, FailureKind, JobFailure, Slot,
     SuperviseOptions,
 };
 
@@ -584,27 +583,13 @@ fn run_sweep(
         let result = if settings.isolate {
             worker::attempt_isolated(cell, fingerprint_hash, &settings.isolation, cell_checkpoint)
         } else {
-            let started = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| {
+            catch_attempt(opts.deadline, || {
                 assert!(
                     !chaos.contains(&cell),
                     "chaos hook: injected panic for sweep cell {cell}"
                 );
                 Simulation::new(cells[cell].2.clone()).run().report
-            })) {
-                Ok(report) => Ok(report),
-                Err(payload) => {
-                    let overran = opts.deadline.is_some_and(|d| started.elapsed() > d);
-                    Err(AttemptFailure {
-                        kind: if overran {
-                            FailureKind::Deadline
-                        } else {
-                            FailureKind::Panic
-                        },
-                        message: payload_text(payload.as_ref()).to_string(),
-                    })
-                }
-            }
+            })
         };
         if let Ok(report) = &result {
             // Write-ahead: the cell is durable before it counts as done.

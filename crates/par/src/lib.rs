@@ -1,13 +1,14 @@
-//! A bounded, self-scheduling worker pool over scoped threads.
+//! A bounded, self-scheduling, supervised worker pool over scoped threads.
 //!
-//! The figure harness runs grids of fully independent simulation cells —
-//! every (x-value, scheme, seed) triple is its own deterministic run. This
-//! crate fans such grids out across OS threads with no external
-//! dependencies: [`std::thread::scope`] workers pull the next job index from
-//! a shared atomic cursor (the idle steal the slow workers' backlog), and
-//! results are collected **by input index**, so the output order — and
-//! therefore everything printed or asserted downstream — is byte-identical
-//! to a serial run.
+//! The figure harness and `grococa sweep` run grids of fully independent
+//! simulation cells — every (x-value, scheme, seed) triple is its own
+//! deterministic run. This crate fans such grids out across OS threads with
+//! no external dependencies: [`std::thread::scope`] workers pull the next
+//! job index from a shared atomic cursor (the idle steal the slow workers'
+//! backlog), and results are collected **by input index**, so the output
+//! order — and therefore everything printed or asserted downstream — is
+//! byte-identical to a serial run. A failing job is retried and then
+//! quarantined, never allowed to take its siblings down.
 //!
 //! The job *inputs* stay on the caller's stack and are only shared (`Sync`);
 //! the worker builds whatever non-`Send` machinery it needs (the simulator
@@ -16,8 +17,10 @@
 //! # Examples
 //!
 //! ```
-//! let squares = grococa_par::run_indexed(&[1u64, 2, 3, 4], 2, |&x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! use grococa_par::{run_supervised, SuperviseOptions};
+//!
+//! let squares = run_supervised(&[1u64, 2, 3, 4], &SuperviseOptions::with_jobs(2), |&x| x * x);
+//! assert_eq!(squares, vec![Ok(1), Ok(4), Ok(9), Ok(16)]);
 //! ```
 
 #![warn(missing_docs)]
@@ -37,15 +40,6 @@ pub fn payload_text(payload: &(dyn std::any::Any + Send)) -> &str {
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("non-string panic payload")
-}
-
-/// Runs one job, re-panicking with the job index in the message so a
-/// failure in a 600-cell sweep points at the exact cell.
-fn run_job<I, O>(f: &impl Fn(&I) -> O, input: &I, idx: usize) -> O {
-    match catch_unwind(AssertUnwindSafe(|| f(input))) {
-        Ok(out) => out,
-        Err(payload) => panic!("job {idx} panicked: {}", payload_text(payload.as_ref())),
-    }
 }
 
 /// The environment variable selecting the degree of parallelism.
@@ -82,63 +76,51 @@ pub fn warn_once(key: &str, message: &str) {
     eprintln!("warning: {message}");
 }
 
-/// A malformed `GROCOCA_JOBS` value: set, but not a positive integer.
+/// A malformed positive-integer count in the environment (`GROCOCA_JOBS`,
+/// `GROCOCA_SEEDS`): set, but not a positive integer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobsEnvError {
+    /// The variable's name.
+    pub var: &'static str,
     /// The offending value, verbatim.
     pub raw: String,
 }
 
 impl std::fmt::Display for JobsEnvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{JOBS_ENV}={:?} is not a positive integer worker count",
-            self.raw
-        )
+        write!(f, "{}={:?} is not a positive integer", self.var, self.raw)
     }
 }
 
 impl std::error::Error for JobsEnvError {}
 
-/// Parses a raw `GROCOCA_JOBS` value. `None` (unset) selects the default;
-/// a set-but-invalid value is an error rather than a silent fallback, so a
-/// typo like `GROCOCA_JOBS=eight` cannot quietly serialise a sweep.
+/// Parses the raw value of the count variable `var`. A set-but-invalid
+/// value is an error rather than a silent fallback, so a typo like
+/// `GROCOCA_JOBS=eight` cannot quietly serialise a sweep.
 ///
 /// # Errors
 ///
-/// Returns [`JobsEnvError`] carrying the offending value when it is set
-/// but not a positive integer.
+/// Returns [`JobsEnvError`] naming `var` and the offending value when it
+/// is not a positive integer.
 ///
 /// # Examples
 ///
 /// ```
-/// assert_eq!(grococa_par::jobs_from_value(Some("3")), Ok(3));
-/// assert!(grococa_par::jobs_from_value(Some("eight")).is_err());
-/// assert!(grococa_par::jobs_from_value(Some("0")).is_err());
-/// assert!(grococa_par::jobs_from_value(None).unwrap() >= 1);
+/// use grococa_par::{jobs_from_value, JOBS_ENV};
+///
+/// assert_eq!(jobs_from_value(JOBS_ENV, "3"), Ok(3));
+/// assert!(jobs_from_value(JOBS_ENV, "eight").is_err());
+/// assert!(jobs_from_value(JOBS_ENV, "0").is_err());
 /// ```
-pub fn jobs_from_value(raw: Option<&str>) -> Result<usize, JobsEnvError> {
-    match raw {
-        None => Ok(default_jobs()),
-        Some(v) => v
-            .trim()
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| JobsEnvError { raw: v.to_string() }),
-    }
-}
-
-/// The worker count from `GROCOCA_JOBS`, as a `Result`: unset selects the
-/// default (all cores), a malformed value is an error.
-///
-/// # Errors
-///
-/// Returns [`JobsEnvError`] when the variable is set but invalid.
-pub fn try_jobs_from_env() -> Result<usize, JobsEnvError> {
-    let raw = std::env::var(JOBS_ENV).ok();
-    jobs_from_value(raw.as_deref())
+pub fn jobs_from_value(var: &'static str, raw: &str) -> Result<usize, JobsEnvError> {
+    raw.trim()
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| JobsEnvError {
+            var,
+            raw: raw.to_string(),
+        })
 }
 
 /// The worker count selected by `GROCOCA_JOBS`, defaulting to the number of
@@ -154,16 +136,16 @@ pub fn try_jobs_from_env() -> Result<usize, JobsEnvError> {
 /// assert!(grococa_par::jobs_from_env() >= 1);
 /// ```
 pub fn jobs_from_env() -> usize {
-    match try_jobs_from_env() {
-        Ok(n) => n,
-        Err(e) => {
-            warn_once(
-                "jobs-env",
-                &format!("{e}; falling back to {} worker(s)", default_jobs()),
-            );
-            default_jobs()
-        }
-    }
+    let Ok(raw) = std::env::var(JOBS_ENV) else {
+        return default_jobs();
+    };
+    jobs_from_value(JOBS_ENV, &raw).unwrap_or_else(|e| {
+        warn_once(
+            "jobs-env",
+            &format!("{e}; falling back to {} worker(s)", default_jobs()),
+        );
+        default_jobs()
+    })
 }
 
 /// The default degree of parallelism: the number of available cores.
@@ -171,98 +153,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Runs `f` over every input on a pool of `jobs` scoped threads, returning
-/// the outputs **in input order**.
-///
-/// Scheduling is dynamic: workers repeatedly claim the next unclaimed index
-/// from a shared cursor, so long-running cells never leave idle cores
-/// behind a static partition. With `jobs == 1` (or a single input) the
-/// inputs are processed inline on the calling thread — the parallel and
-/// serial paths produce identical output by construction, since each output
-/// slot depends only on its own input.
-///
-/// # Panics
-///
-/// If any job panics, re-panics after all threads have stopped with a
-/// message naming the **smallest failing job index** plus the original
-/// panic text — in a grid sweep that pinpoints the exact cell.
-///
-/// # Examples
-///
-/// ```
-/// let inputs: Vec<u32> = (0..100).collect();
-/// let serial = grococa_par::run_indexed(&inputs, 1, |&x| x.wrapping_mul(x));
-/// let parallel = grococa_par::run_indexed(&inputs, 8, |&x| x.wrapping_mul(x));
-/// assert_eq!(serial, parallel);
-/// ```
-pub fn run_indexed<I, O, F>(inputs: &[I], jobs: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let n = inputs.len();
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 || n <= 1 {
-        return inputs
-            .iter()
-            .enumerate()
-            .map(|(idx, input)| run_job(&f, input, idx))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, O)> = Vec::with_capacity(n);
-    // The smallest-indexed panic across all workers, if any.
-    let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            return (local, None);
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&inputs[idx]))) {
-                            Ok(out) => local.push((idx, out)),
-                            // Stop claiming; sibling workers drain the rest.
-                            Err(payload) => return (local, Some((idx, payload))),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (local, panicked) = handle
-                .join()
-                .expect("worker panics are caught inside the worker");
-            collected.extend(local);
-            if let Some((idx, payload)) = panicked {
-                if first_panic.as_ref().is_none_or(|&(best, _)| idx < best) {
-                    first_panic = Some((idx, payload));
-                }
-            }
-        }
-    });
-    if let Some((idx, payload)) = first_panic {
-        panic!("job {idx} panicked: {}", payload_text(payload.as_ref()));
-    }
-    collected.sort_by_key(|&(idx, _)| idx);
-    collected.into_iter().map(|(_, out)| out).collect()
-}
-
-/// [`run_indexed`] with the worker count from `GROCOCA_JOBS` (default: all
-/// available cores).
-pub fn run<I, O, F>(inputs: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    run_indexed(inputs, jobs_from_env(), f)
 }
 
 /// Why a quarantined job failed — the enforced classification that the
@@ -347,6 +237,37 @@ impl AttemptFailure {
     }
 }
 
+/// The thread-mode attempt runner: runs `f` under `catch_unwind` and
+/// classifies a panic as [`FailureKind::Deadline`] when the attempt also
+/// overran `deadline`, else as [`FailureKind::Panic`]. [`run_supervised`]
+/// and the CLI's in-process sweep both run their attempts through it.
+///
+/// # Errors
+///
+/// Returns the classified [`AttemptFailure`], carrying the panic text,
+/// when `f` panics.
+pub fn catch_attempt<O>(
+    deadline: Option<Duration>,
+    f: impl FnOnce() -> O,
+) -> Result<O, AttemptFailure> {
+    let started = Instant::now(); // tidy:allow(wall-clock): harness watchdog; never feeds back into the sim
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        // The advisory watchdog cannot preempt a running job; it
+        // classifies a panicking attempt that also overran the deadline,
+        // distinguishing "panicked instantly" from "ground for minutes,
+        // then died".
+        let overran = deadline.is_some_and(|d| started.elapsed() > d);
+        AttemptFailure {
+            kind: if overran {
+                FailureKind::Deadline
+            } else {
+                FailureKind::Panic
+            },
+            message: payload_text(payload.as_ref()).to_string(),
+        }
+    })
+}
+
 /// The outcome of one supervised slot under [`run_attempts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Slot<O> {
@@ -362,7 +283,7 @@ pub enum Slot<O> {
 /// Tuning for [`run_supervised`]: pool width, bounded retry, watchdog.
 #[derive(Debug, Clone)]
 pub struct SuperviseOptions {
-    /// Worker threads (clamped like [`run_indexed`]).
+    /// Worker threads, clamped to `1..=inputs.len()`.
     pub jobs: usize,
     /// Re-attempts after a job's first panic. Retries are deterministic —
     /// the same input is re-run by the same closure — so they only help
@@ -428,9 +349,10 @@ fn attempt_with_retry<I, O>(
 /// runner over every input on a pool of [`SuperviseOptions::jobs`]
 /// scoped threads, with bounded retry and an optional **drain check**.
 ///
-/// This is the seam both execution modes share: thread-mode supervision
-/// ([`run_supervised`]) passes a `catch_unwind` attempt runner, and the
-/// CLI's process-isolation mode passes one that re-execs each cell as a
+/// This is the repository's one cell pool and the seam both execution
+/// modes share: thread mode ([`run_supervised`], `figures`, the CLI
+/// without `--isolate`) runs [`catch_attempt`], and the CLI's
+/// process-isolation mode passes a runner that re-execs each cell as a
 /// child process and hard-kills it on deadline or memory-ceiling
 /// overrun. The engine itself never catches panics — the attempt runner
 /// must be total (return `Err`, not unwind).
@@ -509,8 +431,9 @@ where
     slots
 }
 
-/// Runs `f` over every input like [`run_indexed`], but **quarantines**
-/// failures instead of aborting the grid: a panicking job is retried up to
+/// Runs `f` over every input on the [`run_attempts`] pool with the
+/// [`catch_attempt`] runner, **quarantining** failures instead of aborting
+/// the grid: a panicking job is retried up to
 /// [`SuperviseOptions::max_retries`] times and, if it keeps failing, its
 /// slot records a [`JobFailure`] (panic text, job index, attempt count,
 /// watchdog flag) while every other job still runs to completion.
@@ -543,25 +466,7 @@ where
     F: Fn(&I) -> O + Sync,
 {
     let slots = run_attempts(inputs, opts, None, |input, _idx| {
-        let started = Instant::now(); // tidy:allow(wall-clock): harness watchdog; never feeds back into the sim
-        match catch_unwind(AssertUnwindSafe(|| f(input))) {
-            Ok(out) => Ok(out),
-            Err(payload) => {
-                // The advisory watchdog cannot preempt a running job; it
-                // classifies a panicking attempt that also overran the
-                // deadline, distinguishing "panicked instantly" from
-                // "ground for minutes, then died".
-                let overran = opts.deadline.is_some_and(|d| started.elapsed() > d);
-                Err(AttemptFailure {
-                    kind: if overran {
-                        FailureKind::Deadline
-                    } else {
-                        FailureKind::Panic
-                    },
-                    message: payload_text(payload.as_ref()).to_string(),
-                })
-            }
-        }
+        catch_attempt(opts.deadline, || f(input))
     });
     slots
         .into_iter()
@@ -579,41 +484,22 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = run_indexed(&[] as &[u32], 4, |&x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn output_order_matches_input_order() {
         // Make early indices the slowest so completion order inverts
         // submission order; collection must still be index-ordered.
         let inputs: Vec<u64> = (0..64).collect();
-        let out = run_indexed(&inputs, 8, |&x| {
+        let out = run_supervised(&inputs, &SuperviseOptions::with_jobs(8), |&x| {
             std::thread::sleep(std::time::Duration::from_micros((64 - x) * 50));
             x * 3
         });
-        assert_eq!(out, inputs.iter().map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_and_parallel_agree() {
-        let inputs: Vec<u64> = (0..257).collect();
-        let work = |&x: &u64| {
-            // A little arithmetic so the compiler cannot collapse the job.
-            (0..50).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
-        };
-        let serial = run_indexed(&inputs, 1, work);
-        for jobs in [2, 3, 4, 16] {
-            assert_eq!(run_indexed(&inputs, jobs, work), serial, "jobs={jobs}");
-        }
+        assert_eq!(out, inputs.iter().map(|x| Ok(x * 3)).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
         let counter = AtomicU64::new(0);
         let inputs: Vec<u32> = (0..1000).collect();
-        let out = run_indexed(&inputs, 7, |&x| {
+        let out = run_supervised(&inputs, &SuperviseOptions::with_jobs(7), |&x| {
             counter.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -623,20 +509,8 @@ mod tests {
 
     #[test]
     fn oversized_pool_is_clamped() {
-        let inputs = [1u8, 2];
-        assert_eq!(run_indexed(&inputs, 100, |&x| x + 1), vec![2, 3]);
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let inputs: Vec<u32> = (0..16).collect();
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(&inputs, 4, |&x| {
-                assert!(x != 9, "boom");
-                x
-            })
-        });
-        assert!(result.is_err());
+        let out = run_supervised(&[1u8, 2], &SuperviseOptions::with_jobs(100), |&x| x + 1);
+        assert_eq!(out, vec![Ok(2), Ok(3)]);
     }
 
     #[test]
@@ -644,50 +518,14 @@ mod tests {
         assert!(default_jobs() >= 1);
     }
 
-    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
-    }
-
-    #[test]
-    fn worker_panic_is_tagged_with_job_index() {
-        let inputs: Vec<u32> = (0..16).collect();
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(&inputs, 4, |&x| {
-                assert!(x != 9, "boom");
-                x
-            })
-        });
-        let text = panic_message(result.expect_err("must panic"));
-        assert!(text.contains("job 9"), "got: {text}");
-        assert!(text.contains("boom"), "got: {text}");
-    }
-
-    #[test]
-    fn inline_panic_is_tagged_with_job_index() {
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(&[1u32, 2, 3], 1, |&x| {
-                assert!(x != 3, "kaboom");
-                x
-            })
-        });
-        let text = panic_message(result.expect_err("must panic"));
-        assert!(text.contains("job 2"), "got: {text}");
-        assert!(text.contains("kaboom"), "got: {text}");
-    }
-
     #[test]
     fn jobs_from_value_accepts_positive_integers_only() {
-        assert_eq!(jobs_from_value(Some("4")), Ok(4));
-        assert_eq!(jobs_from_value(Some(" 2 ")), Ok(2));
-        assert!(jobs_from_value(None).unwrap() >= 1);
-        for bad in ["0", "-3", "eight", "", "1.5"] {
-            let err = jobs_from_value(Some(bad)).expect_err(bad);
+        assert_eq!(jobs_from_value(JOBS_ENV, "4"), Ok(4));
+        assert_eq!(jobs_from_value(JOBS_ENV, " 2 "), Ok(2));
+        for bad in ["0", "-3", "eight", "", "1.5", "3x"] {
+            let err = jobs_from_value("GROCOCA_SEEDS", bad).expect_err(bad);
             assert_eq!(err.raw, bad);
-            assert!(err.to_string().contains("GROCOCA_JOBS"), "got: {err}");
+            assert!(err.to_string().contains("GROCOCA_SEEDS"), "got: {err}");
         }
     }
 
@@ -866,21 +704,5 @@ mod tests {
         let out: Vec<Result<u32, _>> =
             run_supervised(&[] as &[u32], &SuperviseOptions::with_jobs(4), |&x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn smallest_failing_index_wins() {
-        // Every job ≥ 20 fails; the cursor hands out indices in order, so
-        // 20 is always the first claimed failure and must be the one
-        // reported, no matter which worker hit it.
-        let inputs: Vec<u32> = (0..32).collect();
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(&inputs, 8, |&x| {
-                assert!(x < 20, "late failure");
-                x
-            })
-        });
-        let text = panic_message(result.expect_err("must panic"));
-        assert!(text.contains("job 20"), "got: {text}");
     }
 }
